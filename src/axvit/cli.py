@@ -178,6 +178,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_init_model(args) -> int:
+    if args.train_iters and not args.dataset:
+        raise ValueError("--dataset is required when --train-iters > 0")
     cfg = nn.ModelConfig(num_layers=args.layers, embed_dim=args.dim,
                          num_heads=args.heads, ffn_dim=args.ffn_dim)
     model = nn.init_model(cfg, seed=args.seed, bitwidth=args.bitwidth)

@@ -21,6 +21,8 @@ CHECKPOINT_MAGIC = b"AXVITCK"
 CHECKPOINT_VERSION = 1
 
 _INT32_MAX = np.int64(2**31 - 1)
+_FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
+_GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the general kernel
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,12 @@ def axx_matmul(a, b, lut) -> np.ndarray:
 
     Supports stacked matrices with matching leading dims, like np.matmul.
     Accumulation is exact 32-bit; only the multiplications are approximated.
+
+    A rank-1 table (``lut.factors`` set) runs as one float64 matmul of the
+    factor lookups, ``f[a] @ g[b]``, which is exact while every partial sum
+    stays below 2**53. Any other table is gathered one inner index at a
+    time, so temporaries stay the size of the output (or a few thousand
+    entries, whichever is larger).
     """
     a, b = _check_matmul_shapes(a, b)
     lo, hi = -(1 << (lut.bitwidth - 1)), (1 << (lut.bitwidth - 1)) - 1
@@ -70,9 +78,22 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         raise ValueError(f"left operand out of range [{lo}, {hi}] for LUT")
     if b.size and (b.min() < lo or b.max() > hi):
         raise ValueError(f"right operand out of range [{lo}, {hi}] for LUT")
-    products = lut.entries[lut.encode(a)[..., :, :, None],
-                           lut.encode(b)[..., None, :, :]]
-    acc = products.sum(axis=-2, dtype=np.int64)
+    ea, eb = lut.encode(a), lut.encode(b)
+    depth = a.shape[-1]
+    if lut.factors is not None and depth * lut.max_abs < _FLOAT_EXACT_LIMIT:
+        f, g = lut.factors
+        acc = np.matmul(f[ea], g[eb])
+    else:
+        flat = lut.entries.ravel()
+        rows = ea.astype(np.intp) << lut.bitwidth
+        acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                       + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+        # one inner index per step; small outputs take several per step so
+        # a long inner dimension does not turn into a long Python loop
+        step = max(1, _GATHER_STEP_ELEMENTS // max(acc.size, 1))
+        for t in range(0, depth, step):
+            part = flat.take(rows[..., :, t:t + step, None] + eb[..., None, t:t + step, :])
+            acc += part[..., 0, :] if step == 1 else part.sum(axis=-2, dtype=np.int64)
     if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
         raise OverflowError("32-bit accumulator overflow in axx_matmul")
     return acc.astype(np.int32)
@@ -287,9 +308,7 @@ def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
 
 
 def resolve_luts(assignment, catalog):
-    cfg_len = len(assignment)
-    luts = [catalog.lut(name) for name in assignment]
-    return luts if cfg_len else []
+    return [catalog.lut(name) for name in assignment]
 
 
 def check_assignment(model: VitModel, assignment) -> None:
@@ -436,10 +455,16 @@ def load_checkpoint(path: str) -> VitModel:
     with open(path, "rb") as f:
         if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not an axvit checkpoint (bad magic)")
-        version, hlen = struct.unpack("<BI", f.read(5))
+        prefix = f.read(5)
+        if len(prefix) != 5:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, hlen = struct.unpack("<BI", prefix)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen))
+        blob = f.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        header = json.loads(blob)
         params = {}
         for t in header["tensors"]:
             shape = tuple(t["shape"])

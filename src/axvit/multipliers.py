@@ -76,6 +76,11 @@ class ProductLut:
 
     Row/column indices use the offset encoding ``x + 2**(b-1)``, so index 0
     corresponds to the most negative operand. Entries are immutable int32.
+
+    When the table is an outer product of two integer vectors,
+    ``entries == outer(f, g)``, ``factors`` holds ``(f, g)`` as read-only
+    float64 arrays (otherwise None). Every exact, truncating and perforating
+    multiplier has such a table.
     """
 
     def __init__(self, bitwidth: int, entries: np.ndarray):
@@ -87,6 +92,8 @@ class ProductLut:
         entries.setflags(write=False)
         self.bitwidth = bitwidth
         self.entries = entries
+        self.max_abs = max(int(entries.max()), -int(entries.min()))
+        self.factors = _rank1_factors(entries)
         self._offset = 1 << (bitwidth - 1)
 
     def encode(self, x):
@@ -96,6 +103,30 @@ class ProductLut:
         return (isinstance(other, ProductLut)
                 and self.bitwidth == other.bitwidth
                 and np.array_equal(self.entries, other.entries))
+
+
+def _rank1_factors(entries: np.ndarray):
+    """Integer (f, g) with ``outer(f, g) == entries`` exactly, or None.
+
+    g is the first nonzero row divided by the gcd of its entries; f is the
+    column at g's first nonzero entry divided by that entry. Any integer
+    rank-1 table factors this way with integer f and g.
+    """
+    table = entries.astype(np.int64)
+    rows = np.flatnonzero(table.any(axis=1))
+    if rows.size == 0:
+        f = g = np.zeros(table.shape[0], dtype=np.int64)
+    else:
+        row = table[rows[0]]
+        g = row // np.gcd.reduce(row)
+        j0 = int(np.flatnonzero(g)[0])
+        f = table[:, j0] // g[j0]
+        if not np.array_equal(np.outer(f, g), table):
+            return None
+    factors = (f.astype(np.float64), g.astype(np.float64))
+    for t in factors:
+        t.setflags(write=False)
+    return factors
 
 
 def _check_range(m_or_b, x, name: str):
@@ -221,18 +252,25 @@ def save_lut(lut: ProductLut, path: str) -> None:
 
 def load_lut(path: str) -> ProductLut:
     with open(path, "rb") as f:
-        magic = f.read(len(LUT_MAGIC))
-        if magic != LUT_MAGIC:
+        header = f.read(len(LUT_MAGIC) + 3)
+        if header[:len(LUT_MAGIC)] != LUT_MAGIC:
             raise ValueError(f"{path}: not an AXLUT file (bad magic)")
-        version, bitwidth, signedness = struct.unpack("<BBB", f.read(3))
+        if len(header) != len(LUT_MAGIC) + 3:
+            raise ValueError(f"{path}: truncated AXLUT header")
+        version, bitwidth, signedness = header[len(LUT_MAGIC):]
         if version != LUT_VERSION:
             raise ValueError(f"{path}: unsupported AXLUT version {version}")
         if signedness != 1:
             raise ValueError(f"{path}: only signed LUTs are supported")
+        if not 2 <= bitwidth <= MAX_LUT_BITWIDTH:
+            raise ValueError(f"{path}: AXLUT bitwidth {bitwidth} outside "
+                             f"[2, {MAX_LUT_BITWIDTH}]")
         n = 1 << bitwidth
         data = np.frombuffer(f.read(4 * n * n), dtype="<i4")
         if data.size != n * n:
             raise ValueError(f"{path}: truncated AXLUT payload")
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after AXLUT payload")
     return ProductLut(bitwidth, data.reshape(n, n))
 
 

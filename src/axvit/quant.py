@@ -123,7 +123,9 @@ def max_scale(values, bitwidth: int) -> QuantParams:
 def quantize(x, qp: QuantParams) -> np.ndarray:
     """Saturating quantization with half-away-from-zero rounding."""
     x = np.asarray(x, dtype=np.float64)
-    q = np.sign(x) * np.floor(np.abs(x) / qp.scale + 0.5)
+    # adding 0.5 with the sign of x, then truncating, rounds half away from
+    # zero; IEEE division and addition are sign-symmetric, so -x gives -q
+    q = np.trunc(x / qp.scale + np.copysign(0.5, x))
     return np.clip(q, -qp.qmax, qp.qmax).astype(np.int32)
 
 
@@ -142,10 +144,6 @@ def fake_quant_ste_grad(upstream_grad, x, qp: QuantParams) -> np.ndarray:
     if upstream_grad.shape != x.shape:
         raise ValueError("gradient and input shapes must match")
     return upstream_grad * (np.abs(x) <= qp.clip)
-
-
-ATTN_WEIGHT_QPARAMS = QuantParams(scale=1.0 / 127.0, bitwidth=8)
-"""Fixed scale for softmax outputs in [0, 1] ahead of the attention-value matmul."""
 
 
 def save_scale_map(scales: dict[str, float], path: str) -> None:

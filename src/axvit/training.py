@@ -7,7 +7,7 @@ masks zeroing gradients for operands outside the quantization range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,8 +1,11 @@
-"""Independent pure-Python reference implementations used to check the
-library. Everything here is deliberately written at the bit level with plain
-loops, sharing no code with the package under test."""
+"""Independent reference implementations used to check the library.
+Everything here is deliberately written at the bit level with plain loops or
+the most direct numpy expression, sharing no code with the package under
+test."""
 
 import math
+
+import numpy as np
 
 
 def _to_unsigned(v, bits):
@@ -11,6 +14,14 @@ def _to_unsigned(v, bits):
 
 def _to_signed(u, bits):
     return u - (1 << bits) if u >= (1 << (bits - 1)) else u
+
+
+def gather_matmul(a, b, entries):
+    """LUT matmul of signed operands by one-shot gather of every product:
+    the [..., M, K, N] table lookup summed over K in int64."""
+    offset = entries.shape[0] // 2
+    ea, eb = np.asarray(a) + offset, np.asarray(b) + offset
+    return entries[ea[..., :, :, None], eb[..., None, :, :]].sum(axis=-2, dtype=np.int64)
 
 
 def truncate_operand(v, b, k):

@@ -117,6 +117,29 @@ class TestEval:
             run("eval", "--model", workspace["ckpt"], "--dataset",
                 workspace["data"], "--config", "nope")
 
+    def test_truncated_external_lut(self, workspace, tmp_path, capsys):
+        lut_path = tmp_path / "bad.axlut"
+        lut_path.write_bytes(b"AXLUT\x00\x01")
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{"name": "bad", "bitwidth": 8, "kind": "external",
+                                        "lut_path": str(lut_path)}]))
+        assert run("eval", "--model", workspace["ckpt"], "--dataset",
+                   workspace["data"], "--config", "bad", "--catalog",
+                   str(catalog), "--probe", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("axvit eval: ") and err.count("\n") == 1
+        assert "truncated AXLUT header" in err
+
+
+class TestInitModel:
+    def test_train_without_dataset(self, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert run("init-model", "--out", str(out), "--train-iters", "5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("axvit init-model: ") and err.count("\n") == 1
+        assert "--dataset" in err
+        assert not out.exists()
+
 
 class TestFinetune:
     def test_zero_lr_keeps_weights(self, workspace, tmp_path):

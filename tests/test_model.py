@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,17 @@ class TestCalibrateAndCheckpoint:
         ax.save_checkpoint(small_calibrated_model, p1)
         ax.save_checkpoint(small_calibrated_model, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_checkpoint_truncated_header(self, small_calibrated_model, tmp_path):
+        full = str(tmp_path / "m.ckpt")
+        ax.save_checkpoint(small_calibrated_model, full)
+        blob = open(full, "rb").read()
+        for size in (9, 20):  # inside the length prefix, inside the JSON header
+            path = tmp_path / f"short{size}.ckpt"
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError,
+                               match=f"{re.escape(str(path))}: truncated checkpoint header"):
+                ax.load_checkpoint(str(path))
 
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

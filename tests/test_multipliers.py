@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axvit.multipliers import (
+    LUT_MAGIC,
     AxMultiplier,
     Catalog,
     approx_product,
@@ -152,6 +156,39 @@ class TestLutFile:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_lut(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.axlut"
+        path.write_bytes(LUT_MAGIC + b"\x01")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated AXLUT header"):
+            load_lut(str(path))
+
+    @pytest.mark.parametrize("bitwidth", [0, 1, 13, 16, 255])
+    def test_bitwidth_out_of_range(self, tmp_path, bitwidth):
+        # checked before the payload read: 16 bits would ask for 16 GiB
+        path = tmp_path / "bw.axlut"
+        path.write_bytes(LUT_MAGIC + bytes([1, bitwidth, 1]))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: AXLUT bitwidth"):
+            load_lut(str(path))
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.axlut"
+        save_lut(build_lut(mult("exact", b=4)), str(path))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: trailing bytes"):
+            load_lut(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.binary(max_size=3), payload=st.binary(max_size=80))
+    def test_fuzzed_file_loads_or_raises_value_error(self, tmp_path_factory, header, payload):
+        path = tmp_path_factory.getbasetemp() / "fuzz.axlut"
+        path.write_bytes(LUT_MAGIC + header + payload)
+        try:
+            lut = load_lut(str(path))
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert len(payload) == 4 * lut.entries.size
 
     def test_external_multiplier_uses_file(self, tmp_path):
         path = str(tmp_path / "ext.axlut")
