@@ -139,11 +139,7 @@ def _resolve_multiplier(spec: str, catalog):
 
 def cmd_gen_lut(args) -> int:
     mult = _resolve_multiplier(args.multiplier, _load_catalog_arg(args))
-    try:
-        lut = build_lut(mult)
-    except ValueError as exc:
-        print(f"gen-lut: {exc}", file=sys.stderr)
-        return 1
+    lut = build_lut(mult)
     _atomic_write(args.out, lambda tmp: save_lut(lut, tmp))
     print(f"wrote {args.out} bitwidth={lut.bitwidth} sha256={lut_checksum(args.out)}")
     return 0

@@ -44,9 +44,17 @@ def save_idx_images(path: str, images) -> None:
         f.write(images.tobytes(order="C"))
 
 
+def _read_header(f, path, fmt):
+    size = struct.calcsize(fmt)
+    blob = f.read(size)
+    if len(blob) != size:
+        raise ValueError(f"{path}: truncated IDX header")
+    return struct.unpack(fmt, blob)
+
+
 def load_idx_images(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic, n, h, w = struct.unpack(">IIII", f.read(16))
+        magic, n, h, w = _read_header(f, path, ">IIII")
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"{path}: bad IDX image magic {magic:#010x}")
         data = np.frombuffer(f.read(n * h * w), dtype=np.uint8)
@@ -64,7 +72,7 @@ def save_idx_labels(path: str, labels) -> None:
 
 def load_idx_labels(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic, n = struct.unpack(">II", f.read(8))
+        magic, n = _read_header(f, path, ">II")
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(f"{path}: bad IDX label magic {magic:#010x}")
         data = np.frombuffer(f.read(n), dtype=np.uint8)

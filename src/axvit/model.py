@@ -18,7 +18,7 @@ import numpy as np
 from .quant import QuantParams, HistogramCalibrator, max_scale, quantize
 
 CHECKPOINT_MAGIC = b"AXVITCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _INT32_MAX = np.int64(2**31 - 1)
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
@@ -36,6 +36,8 @@ class ModelConfig:
     patch_dim: int = 16
 
     def __post_init__(self):
+        if any(type(v) is not int or v < 1 for v in asdict(self).values()):
+            raise ValueError(f"model dimensions must be positive integers: {asdict(self)}")
         if self.embed_dim % self.num_heads:
             raise ValueError("embed_dim must be divisible by num_heads")
 
@@ -85,7 +87,7 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         acc = np.matmul(f[ea], g[eb])
     else:
         flat = lut.entries.ravel()
-        rows = ea.astype(np.intp) << lut.bitwidth
+        rows = ea << lut.bitwidth
         acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                        + (a.shape[-2], b.shape[-1]), dtype=np.int64)
         # one inner index per step; small outputs take several per step so
@@ -108,8 +110,15 @@ def exact_int_matmul(a, b) -> np.ndarray:
     return acc.astype(np.int32)
 
 
-def _qmm(x, y, qp_x: QuantParams, qp_y: QuantParams, lut) -> np.ndarray:
-    """Quantize both operands, multiply-accumulate in integers, dequantize."""
+def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np.ndarray:
+    """x @ y. With scales for both operands it quantizes them, multiplies and
+    accumulates in integers (through the LUT, or the exact reference when
+    ``lut`` is None) and dequantizes; with neither scale nor LUT it runs in
+    real arithmetic."""
+    if qp_x is None and qp_y is None and lut is None:
+        return x @ y
+    if qp_x is None or qp_y is None:
+        raise RuntimeError("missing calibration scales for quantized matmul")
     qx = quantize(x, qp_x)
     qy = quantize(y, qp_y)
     acc = axx_matmul(qx, qy, lut) if lut is not None else exact_int_matmul(qx, qy)
@@ -156,35 +165,25 @@ def layer_norm(x, g, b, eps=1e-5):
 # Transformer building blocks
 # ---------------------------------------------------------------------------
 
-def linear_forward(x, w, b, qp_x, qp_w, lut, quantized=True):
-    """x @ w + b with the matmul on quantized operands through the LUT."""
-    if quantized:
-        if qp_x is None or qp_w is None:
-            raise RuntimeError("missing calibration scales for quantized linear")
-        y = _qmm(x, w, qp_x, qp_w, lut)
-    else:
-        y = x @ w
-    return y + b
+def linear_forward(x, w, b, qp_x, qp_w, lut):
+    """x @ w + b, the matmul on quantized operands through the LUT; in real
+    arithmetic when neither scales nor a LUT are given."""
+    return _matmul(x, w, qp_x, qp_w, lut) + b
 
 
-def attention_forward(q, k, v, d_k, qps, lut, quantized=True, collect=False):
+def attention_forward(q, k, v, d_k, qps, lut, collect=False):
     """Scaled dot-product attention with approximate integer matmuls.
 
     qps: dict with QuantParams for "q", "k", "v" plus "attn" for the softmax
-    weights. Softmax itself runs in real arithmetic.
+    weights, or None for real arithmetic. Softmax itself runs in real
+    arithmetic.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ValueError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    kt = np.swapaxes(k, -1, -2)
-    if quantized:
-        scores = _qmm(q, kt, qps["q"], qps["k"], lut) / np.sqrt(d_k)
-    else:
-        scores = (q @ kt) / np.sqrt(d_k)
+    qps = qps or {}
+    scores = _matmul(q, np.swapaxes(k, -1, -2), qps.get("q"), qps.get("k"), lut) / np.sqrt(d_k)
     att = softmax(scores)
-    if quantized:
-        out = _qmm(att, v, qps["attn"], qps["v"], lut)
-    else:
-        out = att @ v
+    out = _matmul(att, v, qps.get("attn"), qps.get("v"), lut)
     return (out, att) if collect else out
 
 
@@ -198,39 +197,39 @@ def _merge_heads(t):
     return t.transpose(0, 2, 1, 3).reshape(b, n, h * dk)
 
 
-def multi_head_forward(x, weights, num_heads, qps, lut, quantized=True, collect=False):
+def multi_head_forward(x, weights, num_heads, qps, lut, collect=False):
     """Multi-head self-attention: per-head attention then output projection.
 
     weights: dict with wq/bq, wk/bk, wv/bv, wo/bo. qps: QuantParams keyed by
-    attn_in, wq, wk, wv, q, k, v, attn, attn_out, wo (ignored when not
-    quantized).
+    attn_in, wq, wk, wv, q, k, v, attn, attn_out, wo, or None for real
+    arithmetic. The collected cache holds the tensor each activation
+    quantizer sees, keyed by its role (q, k, v split into heads).
     """
-    get = qps.get if qps else (lambda _k: None)
-    q = linear_forward(x, weights["wq"], weights["bq"], get("attn_in"), get("wq"), lut, quantized)
-    k = linear_forward(x, weights["wk"], weights["bk"], get("attn_in"), get("wk"), lut, quantized)
-    v = linear_forward(x, weights["wv"], weights["bv"], get("attn_in"), get("wv"), lut, quantized)
-    qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
-    ctx_h, att = attention_forward(qh, kh, vh, qh.shape[-1],
-                                   {"q": get("q"), "k": get("k"), "v": get("v"),
-                                    "attn": get("attn")},
-                                   lut, quantized, collect=True)
+    qps = qps or {}
+    q, k, v = (_split_heads(linear_forward(x, weights["w" + r], weights["b" + r],
+                                           qps.get("attn_in"), qps.get("w" + r), lut),
+                            num_heads)
+               for r in "qkv")
+    ctx_h, att = attention_forward(q, k, v, q.shape[-1], qps, lut, collect=True)
     ctx = _merge_heads(ctx_h)
-    out = linear_forward(ctx, weights["wo"], weights["bo"], get("attn_out"), get("wo"),
-                         lut, quantized)
+    out = linear_forward(ctx, weights["wo"], weights["bo"], qps.get("attn_out"),
+                         qps.get("wo"), lut)
     if collect:
-        return out, {"q": q, "k": k, "v": v, "qh": qh, "kh": kh, "vh": vh,
-                     "att": att, "ctx": ctx}
+        return out, {"attn_in": x, "q": q, "k": k, "v": v, "attn": att, "attn_out": ctx}
     return out
 
 
-def ffn_forward(x, w1, b1, w2, b2, qps, lut, quantized=True, collect=False):
-    """Two quantized linears with an exact-arithmetic GELU in between."""
-    get = qps.get if qps else (lambda _k: None)
-    h = linear_forward(x, w1, b1, get("ffn_in"), get("w1"), lut, quantized)
+def ffn_forward(x, w1, b1, w2, b2, qps, lut, collect=False):
+    """Two quantized linears with an exact-arithmetic GELU in between.
+
+    The collected cache holds ffn_in and ffn_mid, the linears' inputs, and
+    ffn_h, the GELU input."""
+    qps = qps or {}
+    h = linear_forward(x, w1, b1, qps.get("ffn_in"), qps.get("w1"), lut)
     a = gelu(h)
-    out = linear_forward(a, w2, b2, get("ffn_mid"), get("w2"), lut, quantized)
+    out = linear_forward(a, w2, b2, qps.get("ffn_mid"), qps.get("w2"), lut)
     if collect:
-        return out, {"h": h, "a": a}
+        return out, {"ffn_in": x, "ffn_h": h, "ffn_mid": a}
     return out
 
 
@@ -281,29 +280,30 @@ class VitModel:
                         self.bitwidth, self.layer_norm_enabled)
 
 
-def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
-    rng = np.random.default_rng(seed)
-
-    def w(shape):
-        return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
-
-    d, df, pd = cfg.embed_dim, cfg.ffn_dim, cfg.patch_dim
-    params = {"embed.w": w((pd, d)), "embed.b": np.zeros(d)}
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in initialization order."""
+    d, df = cfg.embed_dim, cfg.ffn_dim
+    shapes = {"embed.w": (cfg.patch_dim, d), "embed.b": (d,)}
     for i in range(cfg.num_layers):
         p = f"block{i}."
-        params[p + "ln1.g"] = np.ones(d)
-        params[p + "ln1.b"] = np.zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            params[p + name] = w((d, d))
-            params[p + "b" + name[1]] = np.zeros(d)
-        params[p + "ln2.g"] = np.ones(d)
-        params[p + "ln2.b"] = np.zeros(d)
-        params[p + "w1"] = w((d, df))
-        params[p + "b1"] = np.zeros(df)
-        params[p + "w2"] = w((df, d))
-        params[p + "b2"] = np.zeros(d)
-    params["head.w"] = w((d, cfg.num_classes))
-    params["head.b"] = np.zeros(cfg.num_classes)
+        shapes.update({p + "ln1.g": (d,), p + "ln1.b": (d,)})
+        for r in "qkvo":
+            shapes.update({p + "w" + r: (d, d), p + "b" + r: (d,)})
+        shapes.update({p + "ln2.g": (d,), p + "ln2.b": (d,), p + "w1": (d, df),
+                       p + "b1": (df,), p + "w2": (df, d), p + "b2": (d,)})
+    shapes.update({"head.w": (d, cfg.num_classes), "head.b": (cfg.num_classes,)})
+    return shapes
+
+
+def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
+    """Normal(0, 1/fan_in) weight matrices, zero biases, unit LayerNorm gains."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return VitModel(cfg, params, bitwidth=bitwidth)
 
 
@@ -323,7 +323,9 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
 
     luts: per-block ProductLut list, or None for the exact integer reference
     path (only meaningful when quantized). Returns logits, or (logits, cache)
-    when collect is set.
+    when collect is set. The cache holds patches, pooled and, under
+    "blocks", one dict per block keyed by quantization role (see
+    ACTIVATION_ROLES, plus attn and ffn_h) and ln1/ln2 when LayerNorm is on.
     """
     cfg = model.cfg
     p = model.params
@@ -338,39 +340,28 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
 
     cache = {"patches": patches, "blocks": []}
     x = patches @ p["embed.w"] + p["embed.b"]
-    cache["x0"] = x
     for i in range(cfg.num_layers):
         bw = model.block_weights(i)
         qps = model.block_qps(i) if quantized else None
         lut = luts[i] if (quantized and luts is not None) else None
-        bc = {"x_in": x}
+        bc = {}
+        h = x
         if model.layer_norm_enabled:
             h, bc["ln1"] = layer_norm(x, p[f"block{i}.ln1.g"], p[f"block{i}.ln1.b"])
-        else:
-            h = x
-        bc["h"] = h
-        attn_out, mha = multi_head_forward(h, bw, cfg.num_heads, qps, lut,
-                                           quantized, collect=True)
-        bc.update(mha)
-        bc["attn_out"] = attn_out
+        attn_out, mha = multi_head_forward(h, bw, cfg.num_heads, qps, lut, collect=True)
         x = x + attn_out
-        bc["x_mid"] = x
+        h2 = x
         if model.layer_norm_enabled:
             h2, bc["ln2"] = layer_norm(x, p[f"block{i}.ln2.g"], p[f"block{i}.ln2.b"])
-        else:
-            h2 = x
-        bc["h2"] = h2
         ffn_out, ffc = ffn_forward(h2, bw["w1"], bw["b1"], bw["w2"], bw["b2"],
-                                   qps, lut, quantized, collect=True)
-        bc["ffn_h"], bc["ffn_a"] = ffc["h"], ffc["a"]
-        bc["ffn_out"] = ffn_out
+                                   qps, lut, collect=True)
         x = x + ffn_out
+        bc.update(mha)
+        bc.update(ffc)
         cache["blocks"].append(bc)
     pooled = x.mean(axis=1)
     logits = pooled @ p["head.w"] + p["head.b"]
-    cache["x_final"] = x
     cache["pooled"] = pooled
-    cache["logits"] = logits
     return (logits, cache) if collect else logits
 
 
@@ -403,35 +394,33 @@ def calibrate(model: VitModel, patches, percentile: float = 99.9,
               num_bins: int = 2048, batch_size: int = 64) -> dict[str, float]:
     """Histogram-calibrate activation scales from a float forward pass and
     max-calibrate weight scales. Stores the scale map on the model."""
-    cfg = model.cfg
     cals = {f"block{i}.{role}": HistogramCalibrator(num_bins, percentile)
-            for i in range(cfg.num_layers) for role in ACTIVATION_ROLES}
+            for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
     patches = np.asarray(patches)
     for start in range(0, patches.shape[0], batch_size):
         _, cache = vit_forward(model, patches[start:start + batch_size],
                                quantized=False, collect=True)
         for i, bc in enumerate(cache["blocks"]):
-            pre = f"block{i}."
-            cals[pre + "attn_in"].observe(bc["h"])
-            cals[pre + "q"].observe(bc["qh"])
-            cals[pre + "k"].observe(bc["kh"])
-            cals[pre + "v"].observe(bc["vh"])
-            cals[pre + "attn_out"].observe(bc["ctx"])
-            cals[pre + "ffn_in"].observe(bc["h2"])
-            cals[pre + "ffn_mid"].observe(bc["ffn_a"])
-    scales = {key: cal.compute_scale(model.bitwidth).scale for key, cal in cals.items()}
-    for i in range(cfg.num_layers):
+            for role in ACTIVATION_ROLES:
+                cals[f"block{i}.{role}"].observe(bc[role])
+    model.scales = {key: cal.compute_scale(model.bitwidth).scale for key, cal in cals.items()}
+    refresh_weight_scales(model)
+    return model.scales
+
+
+def refresh_weight_scales(model: VitModel) -> None:
+    """Max-calibrate every weight scale from the current weights."""
+    for i in range(model.cfg.num_layers):
         for role in WEIGHT_ROLES:
-            scales[f"block{i}.{role}"] = max_scale(model.params[f"block{i}.{role}"],
-                                                   model.bitwidth).scale
-    model.scales = scales
-    return scales
+            key = f"block{i}.{role}"
+            model.scales[key] = max_scale(model.params[key], model.bitwidth).scale
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic, version byte, u32 header length, JSON header
 # (config, bitwidth, tensor names/shapes, scale map), then the tensors as
-# little-endian float32 in header order.
+# little-endian float64 in header order, so a loaded model equals the saved
+# one bit for bit (weight scales included).
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: VitModel, path: str) -> None:
@@ -448,7 +437,7 @@ def save_checkpoint(model: VitModel, path: str) -> None:
         f.write(struct.pack("<BI", CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
         for n in names:
-            f.write(model.params[n].astype("<f4").tobytes(order="C"))
+            f.write(model.params[n].astype("<f8").tobytes(order="C"))
 
 
 def load_checkpoint(path: str) -> VitModel:
@@ -464,14 +453,27 @@ def load_checkpoint(path: str) -> VitModel:
         blob = f.read(hlen)
         if len(blob) != hlen:
             raise ValueError(f"{path}: truncated checkpoint header")
+        data = f.read()
+    try:
         header = json.loads(blob)
-        params = {}
-        for t in header["tensors"]:
-            shape = tuple(t["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4")
-            if data.size != count:
-                raise ValueError(f"{path}: truncated tensor {t['name']}")
-            params[t["name"]] = data.reshape(shape).astype(np.float64)
-    cfg = ModelConfig(**header["config"])
-    return VitModel(cfg, params, scales=header["scales"], bitwidth=header["bitwidth"])
+        cfg = ModelConfig(**header["config"])
+        tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        bitwidth, scales = header["bitwidth"], header["scales"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    if type(bitwidth) is not int or bitwidth < 2:
+        raise ValueError(f"{path}: bitwidth must be an integer >= 2, got {bitwidth!r}")
+    shapes = sorted(param_shapes(cfg).items())
+    if tensors != shapes:
+        raise ValueError(f"{path}: tensor names or shapes do not match the config")
+    keys = {f"block{i}.{r}" for i in range(cfg.num_layers) for r in ACTIVATION_ROLES + WEIGHT_ROLES}
+    if scales is not None and not (isinstance(scales, dict) and set(scales) == keys and all(
+            isinstance(v, float) and v > 0 for v in scales.values())):
+        raise ValueError(f"{path}: scale map is not one positive scale per quantizer")
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    if len(data) != 8 * sum(sizes):
+        raise ValueError(f"{path}: {len(data)} bytes of tensor data, "
+                         f"the header needs {8 * sum(sizes)}")
+    flat = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
+    params = {name: t.reshape(shape).astype(np.float64) for (name, shape), t in zip(shapes, flat)}
+    return VitModel(cfg, params, scales=scales, bitwidth=bitwidth)

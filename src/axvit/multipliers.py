@@ -97,7 +97,8 @@ class ProductLut:
         self._offset = 1 << (bitwidth - 1)
 
     def encode(self, x):
-        return x + self._offset
+        # add in intp: the offset does not fit a narrow operand dtype
+        return np.add(x, self._offset, dtype=np.intp)
 
     def __eq__(self, other):
         return (isinstance(other, ProductLut)
@@ -212,7 +213,7 @@ def lut_lookup(lut: ProductLut, x, y):
     """Product lookup; total for in-range operands."""
     _check_range(lut, x, "x")
     _check_range(lut, y, "y")
-    out = lut.entries[lut.encode(np.asarray(x)), lut.encode(np.asarray(y))]
+    out = lut.entries[lut.encode(x), lut.encode(y)]
     return int(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

@@ -90,13 +90,29 @@ def _mask(t, qp: QuantParams | None):
     return 1.0 if qp is None else (np.abs(t) <= qp.clip)
 
 
-def _mm_grads(x, w, dy, qp_x, qp_w):
-    """STE gradients of y = fq(x) @ fq(w), treated as x @ w."""
+def linear_backward(dy, x, w, qp_x, qp_w):
+    """STE gradients (dx, dw, db) of y = fq(x) @ fq(w) + b, treated as
+    x @ w + b; a None scale masks nothing."""
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
     dw = (x2.T @ dy2) * _mask(w, qp_w)
     dx = (dy @ w.T) * _mask(x, qp_x)
-    return dx, dw
+    return dx, dw, dy.sum(axis=tuple(range(dy.ndim - 1)))
+
+
+def attention_backward(dout, cache, qps, d_k):
+    """STE gradients (dq, dk, dv) of attention_forward through att @ v and
+    softmax(q k^T / sqrt(d_k)). cache holds q, k, v and the softmax weights
+    under attn; qps masks by the same roles (None masks nothing)."""
+    qps = qps or {}
+    att, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
+    dv = np.matmul(np.swapaxes(att, -1, -2), dout) * _mask(v, qps.get("v"))
+    datt = np.matmul(dout, np.swapaxes(v, -1, -2)) * _mask(att, qps.get("attn"))
+    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+    inv_sqrt = 1.0 / np.sqrt(d_k)
+    dq = np.matmul(dscores, k) * inv_sqrt * _mask(q, qps.get("q"))
+    dk = np.matmul(np.swapaxes(dscores, -1, -2), q) * inv_sqrt * _mask(k, qps.get("k"))
+    return dq, dk, dv
 
 
 def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
@@ -104,79 +120,44 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
     cfg = model.cfg
     p = model.params
     grads = {}
-    get = (lambda i, role: model.qparams(f"block{i}.{role}")) if quantized \
-        else (lambda i, role: None)
 
     pooled = cache["pooled"]
     grads["head.w"] = pooled.T @ dlogits
     grads["head.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ p["head.w"].T
-    dx = np.broadcast_to(dpooled[:, None, :] / cfg.num_patches,
-                         cache["x_final"].shape).copy()
+    dx = np.repeat(dpooled[:, None, :] / cfg.num_patches, cfg.num_patches, axis=1)
 
     for i in reversed(range(cfg.num_layers)):
         bc = cache["blocks"][i]
         pre = f"block{i}."
-        # x_out = x_mid + ffn(LN2(x_mid))
-        dout = dx
-        da = (dout @ p[pre + "w2"].T) * _mask(bc["ffn_a"], get(i, "ffn_mid"))
-        a2 = bc["ffn_a"].reshape(-1, cfg.ffn_dim)
-        grads[pre + "w2"] = (a2.T @ dout.reshape(-1, cfg.embed_dim)) * _mask(p[pre + "w2"], get(i, "w2"))
-        grads[pre + "b2"] = dout.sum(axis=(0, 1))
-        dh = da * nn.gelu_grad(bc["ffn_h"])
-        dh2, grads[pre + "w1"] = _mm_grads(bc["h2"], p[pre + "w1"], dh,
-                                           get(i, "ffn_in"), get(i, "w1"))
-        grads[pre + "b1"] = dh.sum(axis=(0, 1))
-        if model.layer_norm_enabled:
-            dx_mid_ln, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = \
-                _layer_norm_backward(dh2, bc["ln2"], p[pre + "ln2.g"])
-        else:
-            dx_mid_ln = dh2
-        dx_mid = dx + dx_mid_ln
+        qps = model.block_qps(i) if quantized else {}
 
-        # x_mid = x_in + mha(LN1(x_in))
-        dattn_out = dx_mid
-        dctx, grads[pre + "wo"] = _mm_grads(bc["ctx"], p[pre + "wo"], dattn_out,
-                                            get(i, "attn_out"), get(i, "wo"))
-        grads[pre + "bo"] = dattn_out.sum(axis=(0, 1))
-        dctx_h = nn._split_heads(dctx, cfg.num_heads)
-        att, vh, qh, kh = bc["att"], bc["vh"], bc["qh"], bc["kh"]
-        attn_qp = nn.attn_weight_qparams(model.bitwidth) if quantized else None
-        dvh = np.matmul(np.swapaxes(att, -1, -2), dctx_h) * _mask(vh, get(i, "v"))
-        datt = np.matmul(dctx_h, np.swapaxes(vh, -1, -2)) * _mask(att, attn_qp)
-        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-        inv_sqrt = 1.0 / np.sqrt(cfg.head_dim)
-        dqh = np.matmul(dscores, kh) * inv_sqrt * _mask(qh, get(i, "q"))
-        dkh = np.matmul(np.swapaxes(dscores, -1, -2), qh) * inv_sqrt * _mask(kh, get(i, "k"))
-        dq, dk, dv = (nn._merge_heads(t) for t in (dqh, dkh, dvh))
+        def linear(dy, role_x, role_w):
+            dx_in, grads[pre + role_w], grads[pre + "b" + role_w[1:]] = linear_backward(
+                dy, bc[role_x], p[pre + role_w], qps.get(role_x), qps.get(role_w))
+            return dx_in
 
-        h2d = bc["h"].reshape(-1, cfg.embed_dim)
-        dh_total = np.zeros_like(bc["h"])
-        for name, dt in (("wq", dq), ("wk", dk), ("wv", dv)):
-            grads[pre + name] = (h2d.T @ dt.reshape(-1, cfg.embed_dim)) \
-                * _mask(p[pre + name], get(i, name))
-            grads[pre + "b" + name[1]] = dt.sum(axis=(0, 1))
-            dh_total += dt @ p[pre + name].T
-        dh_total *= _mask(bc["h"], get(i, "attn_in"))
-        if model.layer_norm_enabled:
-            dx_in_ln, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = \
-                _layer_norm_backward(dh_total, bc["ln1"], p[pre + "ln1.g"])
-        else:
-            dx_in_ln = dh_total
-        dx = dx_mid + dx_in_ln
+        def norm(dy, name):
+            if not model.layer_norm_enabled:
+                return dy
+            dx_in, grads[pre + name + ".g"], grads[pre + name + ".b"] = \
+                _layer_norm_backward(dy, bc[name], p[pre + name + ".g"])
+            return dx_in
+
+        # x_mid = x_in + mha(LN1(x_in)); x_out = x_mid + ffn(LN2(x_mid))
+        dh = linear(dx, "ffn_mid", "w2") * nn.gelu_grad(bc["ffn_h"])
+        dx = dx + norm(linear(dh, "ffn_in", "w1"), "ln2")
+        dctx = linear(dx, "attn_out", "wo")
+        dq, dk, dv = attention_backward(nn._split_heads(dctx, cfg.num_heads), bc, qps,
+                                        cfg.head_dim)
+        dh = sum(linear(nn._merge_heads(dt), "attn_in", "w" + r)
+                 for r, dt in zip("qkv", (dq, dk, dv)))
+        dx = dx + norm(dh, "ln1")
 
     patches2d = cache["patches"].reshape(-1, cfg.patch_dim)
     grads["embed.w"] = patches2d.T @ dx.reshape(-1, cfg.embed_dim)
     grads["embed.b"] = dx.sum(axis=(0, 1))
     return grads
-
-
-def _refresh_weight_scales(model: nn.VitModel) -> None:
-    # Weight distributions drift during training; activation scales stay fixed.
-    for i in range(model.cfg.num_layers):
-        for role in nn.WEIGHT_ROLES:
-            key = f"block{i}.{role}"
-            model.scales[key] = max_scale(model.params[key], model.bitwidth).scale
 
 
 def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized,
@@ -198,8 +179,8 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized,
             continue
         grads = vit_backward(model, cache, dlogits, quantized=quantized)
         opt.step(model.params, grads)
-        if quantized:
-            _refresh_weight_scales(model)
+        if quantized:  # weights drift during training; activation scales stay fixed
+            nn.refresh_weight_scales(model)
     if recalibrate:
         nn.calibrate(model, patches)
     return history
@@ -235,15 +216,14 @@ class ToyAttentionResult:
     targets: np.ndarray
 
 
-def _toy_attention_forward(x, wq, wk, wv, qps, lut):
-    q = nn.linear_forward(x, wq, 0.0, qps and qps["x"], qps and qps["wq"], lut, qps is not None)
-    k = nn.linear_forward(x, wk, 0.0, qps and qps["x"], qps and qps["wk"], lut, qps is not None)
-    v = nn.linear_forward(x, wv, 0.0, qps and qps["x"], qps and qps["wv"], lut, qps is not None)
-    out, att = nn.attention_forward(q, k, v, x.shape[-1],
-                                    qps and {"q": qps["q"], "k": qps["k"],
-                                             "v": qps["v"], "attn": qps["attn"]},
-                                    lut, quantized=qps is not None, collect=True)
-    return out, (q, k, v, att)
+def _toy_attention_forward(x, w, qps, lut):
+    """One attention layer without output projection; qps None runs it in
+    real arithmetic. Returns the output and the attention_backward cache."""
+    qps = qps or {}
+    q, k, v = (nn.linear_forward(x, w["w" + r], 0.0, qps.get("attn_in"), qps.get("w" + r), lut)
+               for r in "qkv")
+    out, att = nn.attention_forward(q, k, v, x.shape[-1], qps, lut, collect=True)
+    return out, {"q": q, "k": k, "v": v, "attn": att}
 
 
 def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
@@ -259,34 +239,24 @@ def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
 
     # one-shot calibration on an initial probe batch
     xc = rng.normal(0, 1, (256, tokens, dim))
-    out_c, (qc, kc, vc, _) = _toy_attention_forward(xc, w["wq"], w["wk"], w["wv"], None, None)
-    def act_scale(t):
-        return QuantParams(float(np.abs(t).max()) / ((1 << (bitwidth - 1)) - 1), bitwidth)
-    qps = {"x": act_scale(xc), "q": act_scale(qc), "k": act_scale(kc),
-           "v": act_scale(vc), "attn": nn.attn_weight_qparams(bitwidth)}
+    _, calib = _toy_attention_forward(xc, w, None, None)
+    qps = {role: max_scale(calib[role], bitwidth) for role in "qkv"}
+    qps.update(attn_in=max_scale(xc, bitwidth), attn=nn.attn_weight_qparams(bitwidth))
 
     losses = np.empty(iterations)
     out = target = None
-    inv_sqrt = 1.0 / np.sqrt(dim)
     for it in range(iterations):
         x = rng.normal(0, 1, (batch_size, tokens, dim))
-        target, _ = _toy_attention_forward(x, ref["wq"], ref["wk"], ref["wv"], None, None)
+        target, _ = _toy_attention_forward(x, ref, None, None)
         for n in ("wq", "wk", "wv"):
             qps[n] = max_scale(w[n], bitwidth)
-        out, (q, k, v, att) = _toy_attention_forward(x, w["wq"], w["wk"], w["wv"], qps, lut)
+        out, cache = _toy_attention_forward(x, w, qps, lut)
         diff = out - target
         losses[it] = float((diff**2).mean())
-        dout = 2.0 * diff / diff.size
-        # backward through att @ v and softmax(q k^T / sqrt(d))
-        dv = np.matmul(np.swapaxes(att, -1, -2), dout) * _mask(v, qps["v"])
-        datt = np.matmul(dout, np.swapaxes(v, -1, -2)) * _mask(att, qps["attn"])
-        dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-        dq = np.matmul(dscores, k) * inv_sqrt * _mask(q, qps["q"])
-        dk = np.matmul(np.swapaxes(dscores, -1, -2), q) * inv_sqrt * _mask(k, qps["k"])
-        x2 = x.reshape(-1, dim)
-        for n, dt in (("wq", dq), ("wk", dk), ("wv", dv)):
-            gw = (x2.T @ dt.reshape(-1, dim)) * _mask(w[n], qps[n])
-            w[n] -= learning_rate * gw
+        dqkv = attention_backward(2.0 * diff / diff.size, cache, qps, dim)
+        for r, dt in zip("qkv", dqkv):
+            _, gw, _ = linear_backward(dt, x, w["w" + r], qps["attn_in"], qps["w" + r])
+            w["w" + r] -= learning_rate * gw
     return ToyAttentionResult(losses=losses, outputs=out, targets=target)
 
 
@@ -340,7 +310,7 @@ def ste_gradient_check(probe, epsilon: float = 1e-4, kind: str = "linear",
     h = x @ w + b
     g_h = r * (nn.gelu_grad(h) if kind == "gelu" else 1.0)
     inside = np.abs(x) <= qp.clip
-    analytic = (w @ g_h) * inside
+    analytic, _, _ = linear_backward(g_h, x, w, qp, None)
 
     fd = np.empty(n)
     for j in range(n):

@@ -20,7 +20,8 @@ def gather_matmul(a, b, entries):
     """LUT matmul of signed operands by one-shot gather of every product:
     the [..., M, K, N] table lookup summed over K in int64."""
     offset = entries.shape[0] // 2
-    ea, eb = np.asarray(a) + offset, np.asarray(b) + offset
+    ea = np.asarray(a, dtype=np.int64) + offset
+    eb = np.asarray(b, dtype=np.int64) + offset
     return entries[ea[..., :, :, None], eb[..., None, :, :]].sum(axis=-2, dtype=np.int64)
 
 

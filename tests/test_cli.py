@@ -46,7 +46,9 @@ class TestGenLut:
     def test_refuses_large_bitwidth(self, tmp_path, capsys):
         out = str(tmp_path / "x.axlut")
         assert run("gen-lut", "exact13", "--out", out) == 1
-        assert "functional" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("axvit gen-lut: ") and err.count("\n") == 1
+        assert "functional" in err
         assert not os.path.exists(out)
 
 
@@ -116,6 +118,32 @@ class TestEval:
         with pytest.raises(SystemExit):
             run("eval", "--model", workspace["ckpt"], "--dataset",
                 workspace["data"], "--config", "nope")
+
+    def test_checkpoint_without_tensors(self, workspace, tmp_path, capsys):
+        blob = open(workspace["ckpt"], "rb").read()
+        start = len(ax.model.CHECKPOINT_MAGIC) + 5
+        hlen = int.from_bytes(blob[start - 4:start], "little")
+        header = json.loads(blob[start:start + hlen])
+        del header["tensors"]
+        text = json.dumps(header).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:start - 4] + len(text).to_bytes(4, "little") + text)
+        assert run("eval", "--model", str(ckpt), "--dataset", workspace["data"],
+                   "--config", "mul8s_1KV6", "--probe", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"axvit eval: {ckpt}: ") and err.count("\n") == 1
+
+    def test_truncated_idx_header(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        labels = open(os.path.join(workspace["data"], "labels.idx"), "rb").read()
+        (data / "labels.idx").write_bytes(labels)
+        (data / "images.idx").write_bytes(b"\x00\x00\x08\x03\x00")
+        assert run("eval", "--model", workspace["ckpt"], "--dataset", str(data),
+                   "--config", "mul8s_1KV6", "--probe", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("axvit eval: ") and err.count("\n") == 1
+        assert "truncated IDX header" in err
 
     def test_truncated_external_lut(self, workspace, tmp_path, capsys):
         lut_path = tmp_path / "bad.axlut"

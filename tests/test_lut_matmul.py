@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from axvit.model import axx_matmul
-from axvit.multipliers import ProductLut, build_lut, builtin_catalog, parse_multiplier_spec
+from axvit.multipliers import (ProductLut, build_lut, builtin_catalog, lut_lookup,
+                               parse_multiplier_spec)
 from axvit.quant import QuantParams, quantize
 from oracles import gather_matmul
 
@@ -56,14 +57,37 @@ any_lut = st.one_of(st.sampled_from(list(SPEC_LUTS.values())), rank1_luts(),
 def test_axx_matmul_equals_gather_oracle(lut, data):
     shapes = data.draw(hnp.mutually_broadcastable_shapes(
         signature="(m,k),(k,n)->(m,n)", max_dims=2, min_side=0, max_side=6))
+    # every table here is at most 8 bits wide, so its operands fit int8
+    dtype = data.draw(st.sampled_from((np.int32, np.int8, np.int16, np.uint8)))
     lo, hi = -(1 << (lut.bitwidth - 1)), (1 << (lut.bitwidth - 1)) - 1
+    lo = max(lo, np.iinfo(dtype).min)
     a_shape, b_shape = shapes.input_shapes
-    a = data.draw(hnp.arrays(np.int32, a_shape, elements=st.integers(lo, hi)))
-    b = data.draw(hnp.arrays(np.int32, b_shape, elements=st.integers(lo, hi)))
+    a = data.draw(hnp.arrays(dtype, a_shape, elements=st.integers(lo, hi)))
+    b = data.draw(hnp.arrays(dtype, b_shape, elements=st.integers(lo, hi)))
     got = axx_matmul(a, b, lut)
     assert got.dtype == np.int32
     assert got.shape == shapes.result_shape
     assert np.array_equal(got, gather_matmul(a, b, lut.entries))
+
+
+def test_out_of_range_uint8_operand_raises():
+    lut = SPEC_LUTS["exact8"]
+    ones = np.ones((2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="out of range"):
+        axx_matmul(np.full((2, 2), 200, dtype=np.uint8), ones, lut)
+    with pytest.raises(ValueError, match="out of range"):
+        axx_matmul(ones, np.full((2, 2), 128, dtype=np.uint8), lut)
+    with pytest.raises(ValueError, match="out of range"):
+        lut_lookup(lut, np.uint8(128), np.uint8(1))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+def test_lut_lookup_narrow_operands(dtype):
+    lut = SPEC_LUTS["exact8"]
+    x = np.array([0, 5, 127], dtype=dtype)
+    assert lut_lookup(lut, x, dtype(3)).tolist() == [0, 15, 381]
+    if dtype != np.uint8:
+        assert lut_lookup(lut, dtype(-128), dtype(-1)) == 128
 
 
 def test_every_builtin_and_spec_lut_has_factors():

@@ -1,7 +1,10 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import axvit as ax
 from axvit import data as dt
@@ -15,6 +18,7 @@ from axvit.model import (
     layer_norm,
     linear_forward,
     multi_head_forward,
+    refresh_weight_scales,
     softmax,
 )
 from axvit.multipliers import AxMultiplier, build_lut
@@ -130,7 +134,7 @@ class TestBlocks:
         qps["attn"] = attn_weight_qparams(8)
         out = multi_head_forward(x, weights, 2, qps, EXACT_LUT)
         assert out.shape == x.shape
-        real = multi_head_forward(x, weights, 2, None, None, quantized=False)
+        real = multi_head_forward(x, weights, 2, None, None)
         assert np.abs(out - real).max() < 0.2
 
     def test_ffn_zero_weights_yield_b2(self):
@@ -268,11 +272,17 @@ class TestCalibrateAndCheckpoint:
         loaded = ax.load_checkpoint(path)
         assert loaded.cfg == small_calibrated_model.cfg
         assert loaded.scales == small_calibrated_model.scales
-        # weights stored as float32; forward passes agree after the same cast
-        a = ax.vit_forward(loaded, patches[:8], None)
-        assert np.isfinite(a).all()
+        assert loaded.params.keys() == small_calibrated_model.params.keys()
         for n, t in small_calibrated_model.params.items():
-            assert np.array_equal(loaded.params[n], t.astype(np.float32))
+            assert loaded.params[n].dtype == np.float64
+            assert loaded.params[n].tobytes() == t.tobytes(), n
+        # the weight scales stay valid for the loaded weights
+        refresh_weight_scales(loaded)
+        assert loaded.scales == small_calibrated_model.scales
+        for luts in (None, [ax.builtin_catalog().lut("mul8s_1L2H")] * 2):
+            want = ax.vit_forward(small_calibrated_model, patches[:8], luts)
+            got = ax.vit_forward(loaded, patches[:8], luts)
+            assert got.tobytes() == want.tobytes()
 
     def test_checkpoint_deterministic_bytes(self, small_calibrated_model, tmp_path):
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -290,6 +300,78 @@ class TestCalibrateAndCheckpoint:
             with pytest.raises(ValueError,
                                match=f"{re.escape(str(path))}: truncated checkpoint header"):
                 ax.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("defect", [
+        "bad json", "no tensors", "no scales", "tensor shape", "missing tensor",
+        "extra tensor", "scale key", "scale value", "zero dim", "bitwidth",
+        "short data", "trailing bytes"])
+    def test_checkpoint_malformed(self, small_calibrated_model, tmp_path, defect):
+        full = str(tmp_path / "m.ckpt")
+        ax.save_checkpoint(small_calibrated_model, full)
+        blob = open(full, "rb").read()
+        start = len(ax.model.CHECKPOINT_MAGIC) + 5
+        (hlen,) = struct.unpack("<I", blob[start - 4:start])
+        header, data = json.loads(blob[start:start + hlen]), blob[start + hlen:]
+        tensors = header["tensors"]
+        if defect == "no tensors":
+            del header["tensors"]
+        elif defect == "no scales":
+            del header["scales"]
+        elif defect == "tensor shape":
+            w1 = next(t for t in tensors if t["name"] == "block0.w1")
+            w1["shape"] = w1["shape"][::-1]
+        elif defect == "missing tensor":
+            data = data[:-8 * int(np.prod(tensors.pop()["shape"]))]
+        elif defect == "extra tensor":
+            tensors.append({"name": "zz.w", "shape": [1]})
+            data += bytes(8)
+        elif defect == "scale key":
+            header["scales"].pop("block0.q")
+        elif defect == "scale value":
+            header["scales"]["block0.q"] = "0.1"
+        elif defect == "zero dim":
+            header["config"]["num_heads"] = 0
+        elif defect == "bitwidth":
+            header["bitwidth"] = "8"
+        elif defect == "short data":
+            data = data[:-8]
+        elif defect == "trailing bytes":
+            data += b"\x00"
+        text = b"{not json" if defect == "bad json" else json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob[:start - 4] + struct.pack("<I", len(text)) + text + data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            ax.load_checkpoint(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(["config", "config/num_heads", "config/embed_dim", "bitwidth",
+                                  "tensors", "tensors/0", "tensors/0/name", "tensors/0/shape",
+                                  "scales", "scales/block0.q"]),
+           value=st.recursive(st.none() | st.booleans() | st.integers(-2, 64)
+                              | st.floats(allow_nan=False) | st.text(max_size=3),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                              max_leaves=6))
+    def test_fuzzed_header_loads_or_raises_value_error(self, small_calibrated_model,
+                                                       tmp_path_factory, field, value):
+        path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        ax.save_checkpoint(small_calibrated_model, str(path))
+        blob = path.read_bytes()
+        start = len(ax.model.CHECKPOINT_MAGIC) + 5
+        (hlen,) = struct.unpack("<I", blob[start - 4:start])
+        header = json.loads(blob[start:start + hlen])
+        *parents, last = field.split("/")
+        node = header
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:start - 4] + struct.pack("<I", len(text)) + text
+                         + blob[start + hlen:])
+        try:
+            ax.load_checkpoint(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -322,6 +404,21 @@ class TestData:
         dt.save_idx_labels(lp, labels)
         assert np.array_equal(dt.load_idx_images(ip), imgs)
         assert np.array_equal(dt.load_idx_labels(lp), labels)
+
+    @pytest.mark.parametrize("size", [0, 3, 8, 15])
+    def test_idx_truncated_header(self, tmp_path, size):
+        imgs, labels = dt.synthetic_dataset(4, seed=2)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        dt.save_idx_images(str(ip), imgs)
+        dt.save_idx_labels(str(lp), labels)
+        for path, load, header in ((ip, dt.load_idx_images, 16),
+                                   (lp, dt.load_idx_labels, 8)):
+            if size >= header:
+                continue
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(ValueError,
+                               match=f"{re.escape(str(path))}: truncated IDX header"):
+                load(str(path))
 
     def test_idx_bad_magic(self, tmp_path):
         path = tmp_path / "x.idx"

@@ -3,6 +3,7 @@ import pytest
 
 import axvit as ax
 from axvit import training as tr
+from axvit.model import WEIGHT_ROLES
 from axvit.multipliers import AxMultiplier
 
 
@@ -92,6 +93,42 @@ class TestFloatBackward:
             t[idx] = orig
             fd = (lp - lm) / (2 * eps)
             assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-9), name
+
+
+class TestSteRoleMap:
+    """The STE masks read each quantizer's scale for the tensor it sees."""
+
+    @pytest.fixture(scope="class")
+    def unclipped(self, small_calibrated_model, toy_data):
+        patches, labels = toy_data
+        model = small_calibrated_model.copy()
+        model.scales = {key: 1e6 for key in model.scales}
+        logits, cache = ax.vit_forward(model, patches[:8], quantized=False, collect=True)
+        _, dlogits = tr.softmax_xent(logits, labels[:8])
+        return model, cache, dlogits
+
+    def test_unclipped_equals_float_backward(self, unclipped):
+        model, cache, dlogits = unclipped
+        want = tr.vit_backward(model, cache, dlogits, quantized=False)
+        got = tr.vit_backward(model, cache, dlogits, quantized=True)
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("role", WEIGHT_ROLES)
+    def test_clipped_weight_zeroes_only_its_gradient(self, unclipped, role):
+        model, cache, dlogits = unclipped
+        want = tr.vit_backward(model, cache, dlogits)
+        for i in range(model.cfg.num_layers):
+            clipped = model.copy()
+            clipped.scales[f"block{i}.{role}"] = 1e-12
+            got = tr.vit_backward(clipped, cache, dlogits)
+            assert got.keys() == want.keys()
+            for name, g in want.items():
+                if name == f"block{i}.{role}":
+                    assert g.any() and not got[name].any()
+                else:
+                    assert got[name].tobytes() == g.tobytes(), name
 
 
 class TestToyAttention:
