@@ -35,11 +35,9 @@ from .model import (
     calibrate,
     evaluate_accuracy,
     exact_int_matmul,
-    ffn_forward,
     init_model,
     linear_forward,
     load_checkpoint,
-    multi_head_forward,
     save_checkpoint,
     vit_forward,
 )

@@ -84,6 +84,10 @@ def read_csv(path: str):
         else:
             body.append(line)
     rows = list(csv.reader(io.StringIO("\n".join(body))))
+    if not rows:
+        raise ValueError(f"{path}: no CSV header row")
+    if any(len(r) != len(rows[0]) for r in rows[1:]):
+        raise ValueError(f"{path}: a row has a different field count than the header")
     return comments, rows[0], rows[1:]
 
 
@@ -92,7 +96,7 @@ def read_csv(path: str):
 # ---------------------------------------------------------------------------
 
 def _load_catalog_arg(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog)
     return builtin_catalog()
 
@@ -103,7 +107,7 @@ def _load_dataset(spec: str):
     if spec.startswith("synthetic:"):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise SystemExit(f"--dataset: expected synthetic:<num>:<seed>, got {spec!r}")
+            raise ValueError(f"--dataset: expected synthetic:<num>:<seed>, got {spec!r}")
         imgs, labels = dt.synthetic_dataset(int(parts[1]), int(parts[2]))
     else:
         imgs = dt.load_idx_images(os.path.join(spec, "images.idx"))
@@ -120,10 +124,10 @@ def _parse_config(text: str, num_layers: int, catalog) -> list[str]:
     if len(names) == 1:
         names = names * num_layers
     if len(names) != num_layers:
-        raise SystemExit(f"--config: expected 1 or {num_layers} names, got {len(names)}")
+        raise ValueError(f"--config: expected 1 or {num_layers} names, got {len(names)}")
     for n in names:
         if n not in catalog:
-            raise SystemExit(f"--config: unknown multiplier {n!r}")
+            raise ValueError(f"--config: unknown multiplier {n!r}")
     return names
 
 
@@ -326,7 +330,7 @@ def cmd_pareto(args) -> int:
     idx = {c: i for i, c in enumerate(columns)}
     for needed in ("config", "predicted_accuracy", "normalized_power", "reward"):
         if needed not in idx:
-            raise SystemExit(f"pareto: {args.search_csv} is missing column {needed!r}")
+            raise ValueError(f"{args.search_csv} is missing column {needed!r}")
     points = [se.SearchPoint(tuple(r[idx["config"]].split("|")),
                              float(r[idx["predicted_accuracy"]]),
                              float(r[idx["normalized_power"]]),
@@ -354,27 +358,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "assignment search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
+    def add(name, fn, help, seed=False, catalog=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--catalog", help="catalog JSON (default: built-in)")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if catalog:
+            p.add_argument("--catalog", help="catalog JSON (default: built-in)")
         return p
 
-    p = add("gen-lut", cmd_gen_lut, "build and save a product LUT")
+    p = add("gen-lut", cmd_gen_lut, "build and save a product LUT", catalog=True)
     p.add_argument("multiplier", help="catalog name or spec like trunc8k2")
     p.add_argument("--out", required=True)
 
     p = add("error-metrics", cmd_error_metrics,
-            "exhaustive error and hardware table for a catalog")
+            "exhaustive error and hardware table for a catalog", catalog=True)
     p.add_argument("--out")
 
-    p = add("gen-data", cmd_gen_data, "generate a synthetic IDX dataset")
+    p = add("gen-data", cmd_gen_data, "generate a synthetic IDX dataset", seed=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--num", type=int, default=1600)
 
     p = add("init-model", cmd_init_model,
-            "initialize (and optionally train) a model checkpoint")
+            "initialize (and optionally train) a model checkpoint", seed=True)
     p.add_argument("--out", required=True)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--dim", type=int, default=32)
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=float, default=99.9)
     p.add_argument("--bins", type=int, default=2048)
 
-    p = add("eval", cmd_eval, "accuracy and power of one assignment")
+    p = add("eval", cmd_eval, "accuracy and power of one assignment", catalog=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", required=True,
@@ -401,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", type=int, help="evaluate only the first N samples")
     p.add_argument("--out")
 
-    p = add("finetune", cmd_finetune, "approximation-aware finetuning")
+    p = add("finetune", cmd_finetune, "approximation-aware finetuning",
+            seed=True, catalog=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", required=True)
@@ -411,13 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--fraction", type=float, default=0.025)
 
-    p = add("sensitivity", cmd_sensitivity, "per-layer multiplier sensitivity")
+    p = add("sensitivity", cmd_sensitivity, "per-layer multiplier sensitivity",
+            catalog=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--probe", type=int, default=128)
     p.add_argument("--out")
 
-    p = add("search", cmd_search, "MCTS over per-layer assignments")
+    p = add("search", cmd_search, "MCTS over per-layer assignments",
+            seed=True, catalog=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -427,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=se.POLICIES, default="hw")
     p.add_argument("--probe", type=int, default=128)
 
-    p = add("toy", cmd_toy, "single-layer attention convergence experiment")
+    p = add("toy", cmd_toy, "single-layer attention convergence experiment",
+            seed=True, catalog=True)
     p.add_argument("multiplier", help="catalog name or spec like trunc8k2")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--iters", type=int, default=500)

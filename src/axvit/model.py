@@ -171,20 +171,19 @@ def linear_forward(x, w, b, qp_x, qp_w, lut):
     return _matmul(x, w, qp_x, qp_w, lut) + b
 
 
-def attention_forward(q, k, v, d_k, qps, lut, collect=False):
+def attention_forward(q, k, v, d_k, qps, lut):
     """Scaled dot-product attention with approximate integer matmuls.
 
     qps: dict with QuantParams for "q", "k", "v" plus "attn" for the softmax
     weights, or None for real arithmetic. Softmax itself runs in real
-    arithmetic.
+    arithmetic. Returns the output and the softmax weights.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ValueError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
     qps = qps or {}
     scores = _matmul(q, np.swapaxes(k, -1, -2), qps.get("q"), qps.get("k"), lut) / np.sqrt(d_k)
     att = softmax(scores)
-    out = _matmul(att, v, qps.get("attn"), qps.get("v"), lut)
-    return (out, att) if collect else out
+    return _matmul(att, v, qps.get("attn"), qps.get("v"), lut), att
 
 
 def _split_heads(t, num_heads):
@@ -195,42 +194,6 @@ def _split_heads(t, num_heads):
 def _merge_heads(t):
     b, h, n, dk = t.shape
     return t.transpose(0, 2, 1, 3).reshape(b, n, h * dk)
-
-
-def multi_head_forward(x, weights, num_heads, qps, lut, collect=False):
-    """Multi-head self-attention: per-head attention then output projection.
-
-    weights: dict with wq/bq, wk/bk, wv/bv, wo/bo. qps: QuantParams keyed by
-    attn_in, wq, wk, wv, q, k, v, attn, attn_out, wo, or None for real
-    arithmetic. The collected cache holds the tensor each activation
-    quantizer sees, keyed by its role (q, k, v split into heads).
-    """
-    qps = qps or {}
-    q, k, v = (_split_heads(linear_forward(x, weights["w" + r], weights["b" + r],
-                                           qps.get("attn_in"), qps.get("w" + r), lut),
-                            num_heads)
-               for r in "qkv")
-    ctx_h, att = attention_forward(q, k, v, q.shape[-1], qps, lut, collect=True)
-    ctx = _merge_heads(ctx_h)
-    out = linear_forward(ctx, weights["wo"], weights["bo"], qps.get("attn_out"),
-                         qps.get("wo"), lut)
-    if collect:
-        return out, {"attn_in": x, "q": q, "k": k, "v": v, "attn": att, "attn_out": ctx}
-    return out
-
-
-def ffn_forward(x, w1, b1, w2, b2, qps, lut, collect=False):
-    """Two quantized linears with an exact-arithmetic GELU in between.
-
-    The collected cache holds ffn_in and ffn_mid, the linears' inputs, and
-    ffn_h, the GELU input."""
-    qps = qps or {}
-    h = linear_forward(x, w1, b1, qps.get("ffn_in"), qps.get("w1"), lut)
-    a = gelu(h)
-    out = linear_forward(a, w2, b2, qps.get("ffn_mid"), qps.get("w2"), lut)
-    if collect:
-        return out, {"ffn_in": x, "ffn_h": h, "ffn_mid": a}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +208,13 @@ class VitModel:
     """Weights, quantization scales and config for the toy vision transformer."""
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray],
-                 scales: dict[str, float] | None = None, bitwidth: int = 8,
-                 layer_norm_enabled: bool = True):
+                 scales: dict[str, float] | None = None, bitwidth: int = 8):
+        if type(bitwidth) is not int or not 2 <= bitwidth <= 16:
+            raise ValueError(f"bitwidth must be an integer in [2, 16], got {bitwidth!r}")
         self.cfg = cfg
         self.params = params
         self.scales = scales
         self.bitwidth = bitwidth
-        self.layer_norm_enabled = layer_norm_enabled
 
     @property
     def calibrated(self) -> bool:
@@ -268,16 +231,10 @@ class VitModel:
         qps["attn"] = attn_weight_qparams(self.bitwidth)
         return qps
 
-    def block_weights(self, i: int) -> dict[str, np.ndarray]:
-        p = self.params
-        return {name: p[f"block{i}.{name}"]
-                for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                             "w1", "b1", "w2", "b2")}
-
     def copy(self) -> "VitModel":
         return VitModel(self.cfg, {k: v.copy() for k, v in self.params.items()},
                         None if self.scales is None else dict(self.scales),
-                        self.bitwidth, self.layer_norm_enabled)
+                        self.bitwidth)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -311,21 +268,46 @@ def resolve_luts(assignment, catalog):
     return [catalog.lut(name) for name in assignment]
 
 
-def check_assignment(model: VitModel, assignment) -> None:
-    if len(assignment) != model.cfg.num_layers:
-        raise ValueError(f"assignment length {len(assignment)} != "
-                         f"num_layers {model.cfg.num_layers}")
+def block_forward(model: VitModel, i: int, x, qps, lut):
+    """Pre-norm transformer block i: y = x + MHA(LN1(x)), out = y + FFN(LN2(y)).
+
+    qps: the block's QuantParams (``model.block_qps(i)``), or None for real
+    arithmetic; lut: its ProductLut, or None for the exact integer reference.
+    Returns the block output and its cache: the tensor each activation
+    quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
+    heads), plus the softmax weights (attn), the GELU input (ffn_h) and the
+    LayerNorm caches (ln1, ln2).
+    """
+    p = model.params
+    pre = f"block{i}."
+    qps = qps or {}
+
+    def linear(t, role_x, role_w):
+        return linear_forward(t, p[pre + role_w], p[pre + "b" + role_w[1:]],
+                              qps.get(role_x), qps.get(role_w), lut)
+
+    h, ln1 = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+    q, k, v = (_split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
+               for r in "qkv")
+    ctx, att = attention_forward(q, k, v, model.cfg.head_dim, qps, lut)
+    ctx = _merge_heads(ctx)
+    x = x + linear(ctx, "attn_out", "wo")
+    h2, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+    hf = linear(h2, "ffn_in", "w1")
+    a = gelu(hf)
+    x = x + linear(a, "ffn_mid", "w2")
+    return x, {"ln1": ln1, "attn_in": h, "q": q, "k": k, "v": v, "attn": att,
+               "attn_out": ctx, "ln2": ln2, "ffn_in": h2, "ffn_h": hf, "ffn_mid": a}
 
 
 def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=False):
-    """Full forward pass: exact patch embedding, L approximated blocks,
-    mean pool, exact classifier head.
+    """Full forward pass: exact patch embedding, L approximated blocks
+    (``block_forward``), mean pool, exact classifier head.
 
     luts: per-block ProductLut list, or None for the exact integer reference
     path (only meaningful when quantized). Returns logits, or (logits, cache)
     when collect is set. The cache holds patches, pooled and, under
-    "blocks", one dict per block keyed by quantization role (see
-    ACTIVATION_ROLES, plus attn and ffn_h) and ln1/ln2 when LayerNorm is on.
+    "blocks", each block's ``block_forward`` cache.
     """
     cfg = model.cfg
     p = model.params
@@ -336,38 +318,25 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     if quantized and not model.calibrated:
         raise RuntimeError("model is not calibrated; run calibration first")
     if luts is not None and len(luts) != cfg.num_layers:
-        raise ValueError("need one LUT per transformer block")
+        raise ValueError(f"need one LUT per transformer block: assignment length "
+                         f"{len(luts)} != num_layers {cfg.num_layers}")
 
-    cache = {"patches": patches, "blocks": []}
     x = patches @ p["embed.w"] + p["embed.b"]
+    blocks = []
     for i in range(cfg.num_layers):
-        bw = model.block_weights(i)
-        qps = model.block_qps(i) if quantized else None
         lut = luts[i] if (quantized and luts is not None) else None
-        bc = {}
-        h = x
-        if model.layer_norm_enabled:
-            h, bc["ln1"] = layer_norm(x, p[f"block{i}.ln1.g"], p[f"block{i}.ln1.b"])
-        attn_out, mha = multi_head_forward(h, bw, cfg.num_heads, qps, lut, collect=True)
-        x = x + attn_out
-        h2 = x
-        if model.layer_norm_enabled:
-            h2, bc["ln2"] = layer_norm(x, p[f"block{i}.ln2.g"], p[f"block{i}.ln2.b"])
-        ffn_out, ffc = ffn_forward(h2, bw["w1"], bw["b1"], bw["w2"], bw["b2"],
-                                   qps, lut, collect=True)
-        x = x + ffn_out
-        bc.update(mha)
-        bc.update(ffc)
-        cache["blocks"].append(bc)
+        x, bc = block_forward(model, i, x, model.block_qps(i) if quantized else None, lut)
+        if collect:
+            blocks.append(bc)
     pooled = x.mean(axis=1)
     logits = pooled @ p["head.w"] + p["head.b"]
-    cache["pooled"] = pooled
-    return (logits, cache) if collect else logits
+    if collect:
+        return logits, {"patches": patches, "blocks": blocks, "pooled": pooled}
+    return logits
 
 
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
-                      catalog=None, batch_limit=None, batch_size=64,
-                      use_lut=True) -> float:
+                      catalog=None, batch_limit=None, batch_size=64) -> float:
     """Top-1 accuracy on the (optionally truncated) labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
@@ -375,10 +344,7 @@ def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
         patches, labels = patches[:batch_limit], labels[:batch_limit]
     if patches.shape[0] == 0:
         raise ValueError("empty dataset")
-    luts = None
-    if assignment is not None and use_lut:
-        check_assignment(model, assignment)
-        luts = resolve_luts(assignment, catalog)
+    luts = None if assignment is None else resolve_luts(assignment, catalog)
     correct = 0
     for start in range(0, patches.shape[0], batch_size):
         logits = vit_forward(model, patches[start:start + batch_size], luts)
@@ -461,8 +427,6 @@ def load_checkpoint(path: str) -> VitModel:
         bitwidth, scales = header["bitwidth"], header["scales"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
-    if type(bitwidth) is not int or bitwidth < 2:
-        raise ValueError(f"{path}: bitwidth must be an integer >= 2, got {bitwidth!r}")
     shapes = sorted(param_shapes(cfg).items())
     if tensors != shapes:
         raise ValueError(f"{path}: tensor names or shapes do not match the config")
@@ -476,4 +440,7 @@ def load_checkpoint(path: str) -> VitModel:
                          f"the header needs {8 * sum(sizes)}")
     flat = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
     params = {name: t.reshape(shape).astype(np.float64) for (name, shape), t in zip(shapes, flat)}
-    return VitModel(cfg, params, scales=scales, bitwidth=bitwidth)
+    try:
+        return VitModel(cfg, params, scales=scales, bitwidth=bitwidth)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -144,14 +144,8 @@ def _truncate(v, k):
     return (v >> k) << k
 
 
-_external_cache: dict[str, "ProductLut"] = {}
-
-
 def _external_lut(m: AxMultiplier) -> ProductLut:
-    lut = _external_cache.get(m.lut_path)
-    if lut is None:
-        lut = load_lut(m.lut_path)
-        _external_cache[m.lut_path] = lut
+    lut = load_lut(m.lut_path)
     if lut.bitwidth != m.bitwidth:
         raise ValueError(
             f"external LUT bitwidth {lut.bitwidth} != multiplier bitwidth {m.bitwidth}")

@@ -22,13 +22,10 @@ class QuantParams:
 
     scale: float
     bitwidth: int
-    zero_point: int = 0
 
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.zero_point != 0:
-            raise ValueError("only symmetric quantization (zero_point=0) is supported")
 
     @property
     def qmax(self) -> int:

@@ -139,12 +139,12 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels) ->
 
 
 def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
-                        acu_names=None, baseline_name: str = None) -> SensitivityTable:
+                        acu_names=None) -> SensitivityTable:
     """Per-(ACU, layer) normalized probe accuracy and normalized power with
-    that ACU applied to exactly one layer and the baseline everywhere else."""
+    that ACU applied to exactly one layer and the exact baseline (the first
+    exact candidate) everywhere else."""
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
-    if baseline_name is None:
-        baseline_name = _exact_name(catalog, acu_names)
+    baseline_name = _exact_name(catalog, acu_names)
     n_layers = model.cfg.num_layers
     base_cfg = (baseline_name,) * n_layers
     base_acc = predict_accuracy(model, base_cfg, catalog, probe_patches, probe_labels)
@@ -156,8 +156,10 @@ def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
         for i in range(n_layers):
             cfg = list(base_cfg)
             cfg[i] = name
-            s[j, i] = predict_accuracy(model, cfg, catalog,
-                                       probe_patches, probe_labels) / base_acc
+            # the baseline in one layer is the all-baseline config again
+            acc = base_acc if name == baseline_name else predict_accuracy(
+                model, cfg, catalog, probe_patches, probe_labels)
+            s[j, i] = acc / base_acc
             p[j, i] = power_of_config(cfg, catalog, model.cfg, baseline_name)
     return SensitivityTable(acu_names, s, p, base_acc)
 
@@ -259,17 +261,14 @@ def mcts_search(num_layers: int, acu_names, params: SearchParams, evaluate_fn,
 
 
 def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
-                 acu_names=None, baseline_name=None,
-                 sensitivity: SensitivityTable | None = None) -> SearchResult:
+                 acu_names=None) -> SearchResult:
     """Convenience wrapper: fixed probe batch, sensitivity profiling, search."""
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
     probe_p = np.asarray(patches)[:params.probe_batch_size]
     probe_l = np.asarray(labels)[:params.probe_batch_size]
-    if params.policy == "hw" and sensitivity is None:
-        sensitivity = profile_sensitivity(model, catalog, probe_p, probe_l,
-                                          acu_names, baseline_name)
-    if baseline_name is None:
-        baseline_name = _exact_name(catalog, acu_names)
+    sensitivity = (profile_sensitivity(model, catalog, probe_p, probe_l, acu_names)
+                   if params.policy == "hw" else None)
+    baseline_name = _exact_name(catalog, acu_names)
 
     def evaluate(config):
         acc = predict_accuracy(model, config, catalog, probe_p, probe_l)

@@ -138,8 +138,6 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
             return dx_in
 
         def norm(dy, name):
-            if not model.layer_norm_enabled:
-                return dy
             dx_in, grads[pre + name + ".g"], grads[pre + name + ".b"] = \
                 _layer_norm_backward(dy, bc[name], p[pre + name + ".g"])
             return dx_in
@@ -160,8 +158,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
     return grads
 
 
-def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized,
-                recalibrate=False):
+def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
     rng = np.random.default_rng(hp.seed)
     n = patches.shape[0]
     subset = rng.permutation(n)[:max(1, int(round(n * hp.data_fraction)))]
@@ -181,23 +178,19 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized,
         opt.step(model.params, grads)
         if quantized:  # weights drift during training; activation scales stay fixed
             nn.refresh_weight_scales(model)
-    if recalibrate:
-        nn.calibrate(model, patches)
     return history
 
 
 def finetune(model: nn.VitModel, assignment, patches, labels,
-             hp: TrainHyperparams, catalog, recalibrate=False):
+             hp: TrainHyperparams, catalog):
     """Approximation-aware finetuning: LUT forward, STE backward.
 
     Updates the model in place and returns the per-step loss history.
     """
     if not model.calibrated:
         raise RuntimeError("model is not calibrated; run calibration first")
-    nn.check_assignment(model, assignment)
     luts = nn.resolve_luts(assignment, catalog)
-    return _train_loop(model, patches, labels, hp, luts, quantized=True,
-                       recalibrate=recalibrate)
+    return _train_loop(model, patches, labels, hp, luts, quantized=True)
 
 
 def train_float(model: nn.VitModel, patches, labels, hp: TrainHyperparams):
@@ -222,7 +215,7 @@ def _toy_attention_forward(x, w, qps, lut):
     qps = qps or {}
     q, k, v = (nn.linear_forward(x, w["w" + r], 0.0, qps.get("attn_in"), qps.get("w" + r), lut)
                for r in "qkv")
-    out, att = nn.attention_forward(q, k, v, x.shape[-1], qps, lut, collect=True)
+    out, att = nn.attention_forward(q, k, v, x.shape[-1], qps, lut)
     return out, {"q": q, "k": k, "v": v, "attn": att}
 
 

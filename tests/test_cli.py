@@ -115,9 +115,10 @@ class TestEval:
         assert report["accuracy"] == want
 
     def test_unknown_multiplier(self, workspace, capsys):
-        with pytest.raises(SystemExit):
-            run("eval", "--model", workspace["ckpt"], "--dataset",
-                workspace["data"], "--config", "nope")
+        assert run("eval", "--model", workspace["ckpt"], "--dataset",
+                   workspace["data"], "--config", "nope") == 1
+        err = capsys.readouterr().err
+        assert err == "axvit eval: --config: unknown multiplier 'nope'\n"
 
     def test_checkpoint_without_tensors(self, workspace, tmp_path, capsys):
         blob = open(workspace["ckpt"], "rb").read()
@@ -166,6 +167,14 @@ class TestInitModel:
         err = capsys.readouterr().err
         assert err.startswith("axvit init-model: ") and err.count("\n") == 1
         assert "--dataset" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bitwidth", ["1", "40"])
+    def test_bitwidth_out_of_range(self, tmp_path, capsys, bitwidth):
+        out = tmp_path / "m.ckpt"
+        assert run("init-model", "--out", str(out), "--bitwidth", bitwidth) == 1
+        err = capsys.readouterr().err
+        assert err == f"axvit init-model: bitwidth must be an integer in [2, 16], got {bitwidth}\n"
         assert not out.exists()
 
 
@@ -248,6 +257,16 @@ class TestSearchCommand:
         _, _, rrows = cli.read_csv(recomputed)
         assert [r[:3] for r in prows] == [r[:3] for r in rrows]
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "no CSV header row"),
+        ("config,predicted_accuracy,normalized_power,reward\na|b,0.5\n",
+         "a row has a different field count than the header")], ids=["empty", "short row"])
+    def test_pareto_malformed_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run("pareto", str(path)) == 1
+        assert capsys.readouterr().err == f"axvit pareto: {path}: {message}\n"
+
 
 class TestToy:
     def test_outputs(self, tmp_path, capsys):
@@ -273,7 +292,8 @@ class TestDatasetFlag:
         report = json.loads(capsys.readouterr().out)
         assert report["samples"] == 64
 
-    def test_bad_synthetic_spec(self, workspace):
-        with pytest.raises(SystemExit):
-            run("eval", "--model", workspace["ckpt"], "--dataset",
-                "synthetic:10", "--config", "mul8s_1KV6")
+    def test_bad_synthetic_spec(self, workspace, capsys):
+        assert run("eval", "--model", workspace["ckpt"], "--dataset",
+                   "synthetic:10", "--config", "mul8s_1KV6") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("axvit eval: --dataset: ") and err.count("\n") == 1

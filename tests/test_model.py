@@ -12,12 +12,11 @@ from axvit.model import (
     attention_forward,
     attn_weight_qparams,
     axx_matmul,
+    block_forward,
     exact_int_matmul,
-    ffn_forward,
     gelu,
     layer_norm,
     linear_forward,
-    multi_head_forward,
     refresh_weight_scales,
     softmax,
 )
@@ -99,7 +98,7 @@ class TestBlocks:
         one = np.array([[1.0]])
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        out = float(attention_forward(one, one, one, 1, qps, EXACT_LUT)[0, 0])
+        out = float(attention_forward(one, one, one, 1, qps, EXACT_LUT)[0][0, 0])
         # a single score softmaxes to weight 1; output is V through one
         # quantize-dequantize round trip
         assert abs(out - 1.0) <= self.QP.scale
@@ -112,7 +111,7 @@ class TestBlocks:
         v = rng.normal(size=(2, 5, 4))
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        _, att = attention_forward(q, k, v, 4, qps, TRUNC2_LUT, collect=True)
+        _, att = attention_forward(q, k, v, 4, qps, TRUNC2_LUT)
         assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_attention_close_to_real_reference(self):
@@ -120,30 +119,49 @@ class TestBlocks:
         q, k, v = (rng.normal(size=(2, 4)) for _ in range(3))
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        approx = attention_forward(q, k, v, 4, qps, EXACT_LUT)
+        approx, _ = attention_forward(q, k, v, 4, qps, EXACT_LUT)
         real = softmax((q @ k.T) / 2.0) @ v
         assert np.abs(approx - real).max() < 0.1
 
+    def one_block(self, seed):
+        """One-block model (d=4, two heads) with every scale at QP."""
+        cfg = ax.ModelConfig(num_layers=1, embed_dim=4, num_heads=2, ffn_dim=3)
+        model = ax.init_model(cfg, seed=seed)
+        model.scales = {f"block0.{r}": self.QP.scale
+                        for r in ax.model.ACTIVATION_ROLES + ax.model.WEIGHT_ROLES}
+        return model
+
     def test_multi_head_shapes_and_reference(self):
         rng = np.random.default_rng(7)
+        model = self.one_block(7)
+        p = model.params
+        for name in ("w1", "b1", "w2", "b2"):  # the block is x + MHA(LN1(x))
+            p["block0." + name][...] = 0.0
         x = rng.normal(size=(3, 5, 4), scale=0.3)
-        weights = {n: rng.normal(size=(4, 4), scale=0.3) for n in ("wq", "wk", "wv", "wo")}
-        weights.update({f"b{n[1]}": np.zeros(4) for n in ("wq", "wk", "wv", "wo")})
-        roles = ("attn_in", "wq", "wk", "wv", "q", "k", "v", "attn_out", "wo")
-        qps = {r: self.QP for r in roles}
-        qps["attn"] = attn_weight_qparams(8)
-        out = multi_head_forward(x, weights, 2, qps, EXACT_LUT)
+        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT)
         assert out.shape == x.shape
-        real = multi_head_forward(x, weights, 2, None, None)
+        assert bc["q"].shape == (3, 2, 5, 2) and bc["attn"].shape == (3, 2, 5, 5)
+        real, _ = block_forward(model, 0, x, None, None)
         assert np.abs(out - real).max() < 0.2
+        # the real path against per-head attention written out
+        h, _ = layer_norm(x, p["block0.ln1.g"], p["block0.ln1.b"])
+        q, k, v = (h @ p[f"block0.w{r}"] + p[f"block0.b{r}"] for r in "qkv")
+        heads = [softmax(q[..., s] @ np.swapaxes(k[..., s], -1, -2) / np.sqrt(2)) @ v[..., s]
+                 for s in (slice(0, 2), slice(2, 4))]
+        want = x + np.concatenate(heads, axis=-1) @ p["block0.wo"] + p["block0.bo"]
+        assert np.allclose(real, want)
 
     def test_ffn_zero_weights_yield_b2(self):
-        x = np.random.default_rng(8).normal(size=(2, 4))
-        b2 = np.array([1.0, -2.0])
-        qps = {"ffn_in": self.QP, "w1": self.QP, "ffn_mid": self.QP, "w2": self.QP}
-        out = ffn_forward(x, np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), b2,
-                          qps, EXACT_LUT)
-        assert np.allclose(out, np.broadcast_to(b2, (2, 2)))
+        model = self.one_block(8)
+        for name, t in model.params.items():
+            if name.startswith("block0.") and not name.endswith(".g"):
+                t[...] = 0.0
+        b2 = model.params["block0.b2"]
+        b2[:] = [1.0, -2.0, 0.5, 0.0]
+        x = np.random.default_rng(8).normal(size=(2, 5, 4))
+        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT)
+        assert np.allclose(out, x + b2)
+        assert not bc["ffn_h"].any() and not bc["attn_out"].any()
 
     def test_gelu_zero(self):
         assert gelu(0.0) == 0.0
@@ -196,7 +214,6 @@ class TestVitForward:
     def test_residual_identity_with_zero_weights(self):
         cfg = ax.ModelConfig(num_layers=1, embed_dim=16, num_heads=2, ffn_dim=32)
         model = ax.init_model(cfg, seed=0)
-        model.layer_norm_enabled = False
         for name, t in model.params.items():
             if name.startswith("block"):
                 model.params[name] = np.zeros_like(t)
@@ -304,7 +321,7 @@ class TestCalibrateAndCheckpoint:
     @pytest.mark.parametrize("defect", [
         "bad json", "no tensors", "no scales", "tensor shape", "missing tensor",
         "extra tensor", "scale key", "scale value", "zero dim", "bitwidth",
-        "short data", "trailing bytes"])
+        "bitwidth range", "short data", "trailing bytes"])
     def test_checkpoint_malformed(self, small_calibrated_model, tmp_path, defect):
         full = str(tmp_path / "m.ckpt")
         ax.save_checkpoint(small_calibrated_model, full)
@@ -333,6 +350,8 @@ class TestCalibrateAndCheckpoint:
             header["config"]["num_heads"] = 0
         elif defect == "bitwidth":
             header["bitwidth"] = "8"
+        elif defect == "bitwidth range":
+            header["bitwidth"] = 40
         elif defect == "short data":
             data = data[:-8]
         elif defect == "trailing bytes":

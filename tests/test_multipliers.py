@@ -8,6 +8,7 @@ from axvit.multipliers import (
     LUT_MAGIC,
     AxMultiplier,
     Catalog,
+    ProductLut,
     approx_product,
     approx_products,
     build_lut,
@@ -229,6 +230,16 @@ class TestCatalog:
 
     def test_lut_cache_returns_same_object(self, catalog):
         assert catalog.lut("mul8s_1L2H") is catalog.lut("mul8s_1L2H")
+
+    def test_new_catalog_reads_rewritten_external_lut(self, tmp_path):
+        path = str(tmp_path / "ext.axlut")
+        ext = AxMultiplier("ext", 8, "external", lut_path=path)
+        entries = build_lut(mult("exact")).entries.copy()
+        save_lut(ProductLut(8, entries), path)
+        assert Catalog([ext]).lut("ext").entries[0, 0] == 16384
+        entries[0, 0] += 1
+        save_lut(ProductLut(8, entries), path)
+        assert Catalog([ext]).lut("ext").entries[0, 0] == 16385
 
 
 class TestSpecParsing:

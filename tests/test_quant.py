@@ -24,10 +24,6 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             QuantParams(scale=0.0, bitwidth=8)
 
-    def test_rejects_nonzero_zero_point(self):
-        with pytest.raises(ValueError):
-            QuantParams(scale=1.0, bitwidth=8, zero_point=1)
-
 
 class TestCalibrator:
     def test_all_zeros_mass_in_first_bin(self):

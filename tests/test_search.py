@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import axvit as ax
 from axvit import search as se
@@ -135,6 +136,24 @@ class TestParetoFront:
                                   or q.normalized_power < p.normalized_power))
                 assert not dominates
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 6).map(lambda v: v / 6) | st.floats(0, 1)] * 2),
+                    max_size=40))
+    def test_property_matches_oracle(self, pairs):
+        # few distinct values, so accuracies, powers and whole points repeat
+        pts = [se.SearchPoint((str(i),), a, p, 0.0) for i, (a, p) in enumerate(pairs)]
+        front = se.pareto_front(pts)
+        want = brute_force_pareto([(p.predicted_accuracy, p.normalized_power, p)
+                                   for p in pts])
+        assert front == [w[2] for w in want]
+        keys = [(p.predicted_accuracy, p.normalized_power) for p in front]
+        assert len(set(keys)) == len(keys)
+        assert [k[1] for k in keys] == sorted(k[1] for k in keys)
+        for a, pw in keys:
+            assert not any(q.predicted_accuracy >= a and q.normalized_power <= pw
+                           and (q.predicted_accuracy > a or q.normalized_power < pw)
+                           for q in pts)
+
 
 def toy_evaluator(names, lam_independent_noise=0.0):
     """Deterministic synthetic evaluator over assignments of the given names."""
@@ -240,6 +259,33 @@ class TestSensitivityAndSurrogate:
                                        patches[:96], labels[:96])
         j = table.acu_names.index("mul8s_1L2L")
         assert (table.p[j] < 1.0).all()
+
+    def test_baseline_cells_are_not_evaluated(self, small_calibrated_model, toy_data,
+                                              catalog, monkeypatch):
+        model = small_calibrated_model
+        probe_p, probe_l = toy_data[0][:96], toy_data[1][:96]
+        calls = []
+        original = se.predict_accuracy
+
+        def counted(*args):
+            calls.append(tuple(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(se, "predict_accuracy", counted)
+        table = se.profile_sensitivity(model, catalog, probe_p, probe_l)
+        monkeypatch.undo()
+        k, L = len(table.acu_names), model.cfg.num_layers
+        assert len(calls) == 1 + (k - 1) * L
+        base = ["mul8s_1KV6"] * L
+        base_acc = se.predict_accuracy(model, base, catalog, probe_p, probe_l)
+        assert table.baseline_accuracy == base_acc
+        for j, name in enumerate(table.acu_names):
+            for i in range(L):
+                cfg = base[:i] + [name] + base[i + 1:]
+                acc = se.predict_accuracy(model, cfg, catalog, probe_p, probe_l)
+                assert table.s[j, i] == acc / base_acc
+                assert table.p[j, i] == se.power_of_config(cfg, catalog, model.cfg,
+                                                           "mul8s_1KV6")
 
     def test_surrogate_equals_full_accuracy_when_probe_is_full_set(
             self, small_calibrated_model, toy_data, catalog):
