@@ -22,7 +22,6 @@ from . import model as nn
 from . import search as se
 from . import training as tr
 from .multipliers import (
-    EXACT_BASELINE_NAME,
     builtin_catalog,
     build_lut,
     error_metrics,
@@ -31,7 +30,7 @@ from .multipliers import (
     parse_multiplier_spec,
     save_lut,
 )
-from .quant import save_scale_map
+from .quant import DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, save_scale_map
 
 DEFAULT_SEED = 0
 
@@ -115,10 +114,6 @@ def _load_dataset(spec: str):
     return dt.images_to_patches(imgs), labels
 
 
-def _load_model(args) -> nn.VitModel:
-    return nn.load_checkpoint(args.model)
-
-
 def _parse_config(text: str, num_layers: int, catalog) -> list[str]:
     names = [n.strip() for n in text.split(",")]
     if len(names) == 1:
@@ -197,7 +192,7 @@ def cmd_init_model(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model = _load_model(args)
+    model = nn.load_checkpoint(args.model)
     patches, _ = _load_dataset(args.dataset)
     scales = nn.calibrate(model, patches, percentile=args.percentile,
                           num_bins=args.bins)
@@ -209,13 +204,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args)
+    model = nn.load_checkpoint(args.model)
     catalog = _load_catalog_arg(args)
     patches, labels = _load_dataset(args.dataset)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
     acc = nn.evaluate_accuracy(model, patches, labels, config, catalog,
                                batch_limit=args.probe)
-    power = se.power_of_config(config, catalog, model.cfg, EXACT_BASELINE_NAME)
+    power = se.power_of_config(config, catalog, model.cfg,
+                               se.exact_baseline(catalog, catalog.names()))
     report = {"config": config, "accuracy": acc, "normalized_power": power,
               "power_reduction_pct": se.power_reduction_pct(power),
               "samples": int(min(len(labels), args.probe) if args.probe else len(labels))}
@@ -227,7 +223,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    model = _load_model(args)
+    model = nn.load_checkpoint(args.model)
     catalog = _load_catalog_arg(args)
     patches, labels = _load_dataset(args.dataset)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
@@ -247,9 +243,11 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    model = _load_model(args)
+    model = nn.load_checkpoint(args.model)
     catalog = _load_catalog_arg(args)
     patches, labels = _load_dataset(args.dataset)
+    if args.probe < 1:
+        raise ValueError(f"--probe must be >= 1, got {args.probe}")
     table = se.profile_sensitivity(model, catalog, patches[:args.probe],
                                    labels[:args.probe])
     rows = [[name, i, repr(float(table.s[j, i])), repr(float(table.p[j, i]))]
@@ -269,7 +267,7 @@ def _search_header(args) -> list[str]:
 
 
 def cmd_search(args) -> int:
-    model = _load_model(args)
+    model = nn.load_checkpoint(args.model)
     catalog = _load_catalog_arg(args)
     patches, labels = _load_dataset(args.dataset)
     params = se.SearchParams(lam=args.lam, c=args.c, num_simulations=args.sims,
@@ -396,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="scale map JSON")
     p.add_argument("--save-model", help="also save the calibrated checkpoint")
-    p.add_argument("--percentile", type=float, default=99.9)
-    p.add_argument("--bins", type=int, default=2048)
+    p.add_argument("--percentile", type=float, default=DEFAULT_PERCENTILE)
+    p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS)
 
     p = add("eval", cmd_eval, "accuracy and power of one assignment", catalog=True)
     p.add_argument("--model", required=True)

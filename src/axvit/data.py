@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -10,12 +11,12 @@ IDX_IMAGES_MAGIC = 0x00000803  # unsigned byte, 3 dims
 IDX_LABELS_MAGIC = 0x00000801  # unsigned byte, 1 dim
 
 
-def synthetic_dataset(num_samples: int, seed: int, num_classes: int = 10,
-                      image_size: int = 16, noise: float = 0.9):
+def synthetic_dataset(num_samples: int, seed: int):
     """Seeded 10-class generator: Gaussian class prototypes plus pixel noise.
 
-    Returns (images uint8 [N, S, S], labels int64 [N]) with balanced classes.
+    Returns (images uint8 [N, 16, 16], labels int64 [N]) with balanced classes.
     """
+    num_classes, image_size, noise = 10, 16, 0.9
     rng = np.random.default_rng(seed)
     protos = rng.normal(0.0, 1.0, size=(num_classes, image_size, image_size))
     labels = rng.permutation(np.arange(num_samples) % num_classes)
@@ -24,8 +25,10 @@ def synthetic_dataset(num_samples: int, seed: int, num_classes: int = 10,
     return imgs, labels.astype(np.int64)
 
 
-def images_to_patches(images, patch_size: int = 4) -> np.ndarray:
-    """uint8 [N, H, W] -> float [N, num_patches, patch_size**2] in [0, 1]."""
+def images_to_patches(images) -> np.ndarray:
+    """uint8 [N, H, W] -> float [N, num_patches, 16] in [0, 1], one row per
+    4x4 patch."""
+    patch_size = 4
     images = np.asarray(images)
     n, h, w = images.shape
     if h % patch_size or w % patch_size:
@@ -52,15 +55,20 @@ def _read_header(f, path, fmt):
     return struct.unpack(fmt, blob)
 
 
+def _read_payload(f, path, size, what):
+    # compare with the file length first: a corrupt header can claim more
+    # bytes than a read can allocate
+    if os.fstat(f.fileno()).st_size - f.tell() < size:
+        raise ValueError(f"{path}: truncated IDX {what} payload")
+    return np.frombuffer(f.read(size), dtype=np.uint8)
+
+
 def load_idx_images(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         magic, n, h, w = _read_header(f, path, ">IIII")
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"{path}: bad IDX image magic {magic:#010x}")
-        data = np.frombuffer(f.read(n * h * w), dtype=np.uint8)
-    if data.size != n * h * w:
-        raise ValueError(f"{path}: truncated IDX image payload")
-    return data.reshape(n, h, w)
+        return _read_payload(f, path, n * h * w, "image").reshape(n, h, w)
 
 
 def save_idx_labels(path: str, labels) -> None:
@@ -75,7 +83,4 @@ def load_idx_labels(path: str) -> np.ndarray:
         magic, n = _read_header(f, path, ">II")
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(f"{path}: bad IDX label magic {magic:#010x}")
-        data = np.frombuffer(f.read(n), dtype=np.uint8)
-    if data.size != n:
-        raise ValueError(f"{path}: truncated IDX label payload")
-    return data.astype(np.int64)
+        return _read_payload(f, path, n, "label").astype(np.int64)

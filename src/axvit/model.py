@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .quant import QuantParams, HistogramCalibrator, max_scale, quantize
+from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
+                    QuantParams, max_scale, quantize)
 
 CHECKPOINT_MAGIC = b"AXVITCK"
 CHECKPOINT_VERSION = 2
@@ -23,6 +24,8 @@ CHECKPOINT_VERSION = 2
 _INT32_MAX = np.int64(2**31 - 1)
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
 _GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the general kernel
+_LN_EPS = 1e-5
+_BATCH = 64  # samples per forward pass in evaluation and calibration
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,13 @@ def _check_matmul_shapes(a, b):
     return a, b
 
 
+def _to_int32(acc, kernel: str) -> np.ndarray:
+    """The accumulator as int32; raises if a sum overflowed 32 bits."""
+    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
+        raise OverflowError(f"32-bit accumulator overflow in {kernel}")
+    return acc.astype(np.int32)
+
+
 def axx_matmul(a, b, lut) -> np.ndarray:
     """Integer matmul where each product is an approximate LUT lookup.
 
@@ -75,11 +85,6 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     entries, whichever is larger).
     """
     a, b = _check_matmul_shapes(a, b)
-    lo, hi = -(1 << (lut.bitwidth - 1)), (1 << (lut.bitwidth - 1)) - 1
-    if a.size and (a.min() < lo or a.max() > hi):
-        raise ValueError(f"left operand out of range [{lo}, {hi}] for LUT")
-    if b.size and (b.min() < lo or b.max() > hi):
-        raise ValueError(f"right operand out of range [{lo}, {hi}] for LUT")
     ea, eb = lut.encode(a), lut.encode(b)
     depth = a.shape[-1]
     if lut.factors is not None and depth * lut.max_abs < _FLOAT_EXACT_LIMIT:
@@ -96,18 +101,13 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         for t in range(0, depth, step):
             part = flat.take(rows[..., :, t:t + step, None] + eb[..., None, t:t + step, :])
             acc += part[..., 0, :] if step == 1 else part.sum(axis=-2, dtype=np.int64)
-    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
-        raise OverflowError("32-bit accumulator overflow in axx_matmul")
-    return acc.astype(np.int32)
+    return _to_int32(acc, "axx_matmul")
 
 
 def exact_int_matmul(a, b) -> np.ndarray:
     """Exact integer matmul reference with 32-bit accumulators."""
     a, b = _check_matmul_shapes(a, b)
-    acc = np.matmul(a.astype(np.int64), b.astype(np.int64))
-    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
-        raise OverflowError("32-bit accumulator overflow in exact_int_matmul")
-    return acc.astype(np.int32)
+    return _to_int32(np.matmul(a.astype(np.int64), b.astype(np.int64)), "exact_int_matmul")
 
 
 def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np.ndarray:
@@ -127,16 +127,16 @@ def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np
 
 def attn_weight_qparams(bitwidth: int) -> QuantParams:
     """Fixed scale for softmax outputs in [0, 1] before the value matmul."""
-    return QuantParams(scale=1.0 / ((1 << (bitwidth - 1)) - 1), bitwidth=bitwidth)
+    return QuantParams.from_clip(1.0, bitwidth)
 
 
 # ---------------------------------------------------------------------------
 # Real-arithmetic pieces
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -153,10 +153,10 @@ def gelu_grad(x):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
-def layer_norm(x, g, b, eps=1e-5):
+def layer_norm(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x - mu) * inv
     return g * xhat + b, (xhat, inv)
 
@@ -264,10 +264,6 @@ def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
     return VitModel(cfg, params, bitwidth=bitwidth)
 
 
-def resolve_luts(assignment, catalog):
-    return [catalog.lut(name) for name in assignment]
-
-
 def block_forward(model: VitModel, i: int, x, qps, lut):
     """Pre-norm transformer block i: y = x + MHA(LN1(x)), out = y + FFN(LN2(y)).
 
@@ -336,15 +332,17 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
 
 
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
-                      catalog=None, batch_limit=None, batch_size=64) -> float:
+                      catalog=None, batch_limit=None, batch_size=_BATCH) -> float:
     """Top-1 accuracy on the (optionally truncated) labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
     if batch_limit is not None:
+        if batch_limit < 1:
+            raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
         patches, labels = patches[:batch_limit], labels[:batch_limit]
     if patches.shape[0] == 0:
         raise ValueError("empty dataset")
-    luts = None if assignment is None else resolve_luts(assignment, catalog)
+    luts = None if assignment is None else [catalog.lut(n) for n in assignment]
     correct = 0
     for start in range(0, patches.shape[0], batch_size):
         logits = vit_forward(model, patches[start:start + batch_size], luts)
@@ -356,15 +354,15 @@ def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
 # Calibration
 # ---------------------------------------------------------------------------
 
-def calibrate(model: VitModel, patches, percentile: float = 99.9,
-              num_bins: int = 2048, batch_size: int = 64) -> dict[str, float]:
+def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
+              num_bins: int = DEFAULT_NUM_BINS) -> dict[str, float]:
     """Histogram-calibrate activation scales from a float forward pass and
     max-calibrate weight scales. Stores the scale map on the model."""
     cals = {f"block{i}.{role}": HistogramCalibrator(num_bins, percentile)
             for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
     patches = np.asarray(patches)
-    for start in range(0, patches.shape[0], batch_size):
-        _, cache = vit_forward(model, patches[start:start + batch_size],
+    for start in range(0, patches.shape[0], _BATCH):
+        _, cache = vit_forward(model, patches[start:start + _BATCH],
                                quantized=False, collect=True)
         for i, bc in enumerate(cache["blocks"]):
             for role in ACTIVATION_ROLES:

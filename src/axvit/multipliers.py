@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quant import signed_range
+
 LUT_MAGIC = b"AXLUT\x00"
 LUT_VERSION = 1
 MAX_LUT_BITWIDTH = 12
@@ -53,14 +55,6 @@ class AxMultiplier:
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be >= 0")
 
-    @property
-    def operand_min(self) -> int:
-        return -(1 << (self.bitwidth - 1))
-
-    @property
-    def operand_max(self) -> int:
-        return (1 << (self.bitwidth - 1)) - 1
-
 
 @dataclass(frozen=True)
 class ErrorMetrics:
@@ -94,11 +88,12 @@ class ProductLut:
         self.entries = entries
         self.max_abs = max(int(entries.max()), -int(entries.min()))
         self.factors = _rank1_factors(entries)
-        self._offset = 1 << (bitwidth - 1)
 
     def encode(self, x):
+        """Table indices of the operands; raises if one is out of range."""
+        _check_range(self.bitwidth, x, "operand")
         # add in intp: the offset does not fit a narrow operand dtype
-        return np.add(x, self._offset, dtype=np.intp)
+        return np.add(x, -signed_range(self.bitwidth)[0], dtype=np.intp)
 
     def __eq__(self, other):
         return (isinstance(other, ProductLut)
@@ -130,13 +125,11 @@ def _rank1_factors(entries: np.ndarray):
     return factors
 
 
-def _check_range(m_or_b, x, name: str):
-    b = m_or_b.bitwidth if isinstance(m_or_b, (AxMultiplier, ProductLut)) else m_or_b
-    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+def _check_range(bitwidth: int, x, what: str):
+    lo, hi = signed_range(bitwidth)
     arr = np.asarray(x)
     if arr.size and (arr.min() < lo or arr.max() > hi):
-        raise ValueError(
-            f"operand {name} out of range [{lo}, {hi}] for {b}-bit multiplier")
+        raise ValueError(f"{what} out of range [{lo}, {hi}] for {bitwidth}-bit multiplier")
 
 
 def _truncate(v, k):
@@ -173,40 +166,44 @@ def _product_array(m: AxMultiplier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lut.entries[lut.encode(x), lut.encode(y)].astype(np.int64)
 
 
+def _operands(bitwidth: int) -> np.ndarray:
+    """Every signed operand of ``bitwidth`` bits, ascending (table order)."""
+    lo, hi = signed_range(bitwidth)
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
 def approx_product(m: AxMultiplier, x: int, y: int) -> int:
     """Approximate product of two signed integers (functional mode).
 
     Deterministic: the result depends only on (x, y).
     """
-    _check_range(m, x, "x")
-    _check_range(m, y, "y")
-    return int(_product_array(m, np.asarray(x), np.asarray(y)))
+    return int(approx_products(m, x, y))
 
 
 def approx_products(m: AxMultiplier, x, y) -> np.ndarray:
     """Broadcasting array version of approx_product."""
     x = np.asarray(x)
     y = np.asarray(y)
-    _check_range(m, x, "x")
-    _check_range(m, y, "y")
+    _check_range(m.bitwidth, x, "operand x")
+    _check_range(m.bitwidth, y, "operand y")
     return _product_array(m, x, y)
 
 
 def build_lut(m: AxMultiplier) -> ProductLut:
-    """Enumerate all 2**(2b) operand pairs into a product LUT."""
+    """Enumerate all 2**(2b) operand pairs into a product LUT (an external
+    multiplier's is the table it loads)."""
     if m.bitwidth > MAX_LUT_BITWIDTH:
         raise ValueError(
             f"bitwidth {m.bitwidth} exceeds LUT cap of {MAX_LUT_BITWIDTH} bits; "
             "use functional mode (approx_product) instead")
-    ops = np.arange(m.operand_min, m.operand_max + 1, dtype=np.int64)
-    table = _product_array(m, ops[:, None], ops[None, :])
-    return ProductLut(m.bitwidth, table)
+    if m.kind == "external":
+        return _external_lut(m)
+    ops = _operands(m.bitwidth)
+    return ProductLut(m.bitwidth, _product_array(m, ops[:, None], ops[None, :]))
 
 
 def lut_lookup(lut: ProductLut, x, y):
     """Product lookup; total for in-range operands."""
-    _check_range(lut, x, "x")
-    _check_range(lut, y, "y")
     out = lut.entries[lut.encode(x), lut.encode(y)]
     return int(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
@@ -217,10 +214,8 @@ def error_metrics(m: AxMultiplier) -> ErrorMetrics:
     Absolute errors are normalized by 2**(2b-2), the maximum exact product
     magnitude; MRE skips pairs whose exact product is zero.
     """
-    if m.bitwidth > MAX_LUT_BITWIDTH:
-        raise ValueError("error metrics require exhaustive enumeration (bitwidth <= 12)")
-    ops = np.arange(m.operand_min, m.operand_max + 1, dtype=np.int64)
-    approx = _product_array(m, ops[:, None], ops[None, :])
+    approx = build_lut(m).entries
+    ops = _operands(m.bitwidth)
     exact = ops[:, None] * ops[None, :]
     diff = np.abs(approx - exact).astype(np.float64)
     norm = float(1 << (2 * m.bitwidth - 2))

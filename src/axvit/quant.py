@@ -16,6 +16,12 @@ DEFAULT_NUM_BINS = 2048
 DEFAULT_PERCENTILE = 99.9
 
 
+def signed_range(bitwidth: int) -> tuple[int, int]:
+    """Smallest and largest two's-complement integer of ``bitwidth`` bits."""
+    half = 1 << (bitwidth - 1)
+    return -half, half - 1
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Affine quantization parameters (symmetric, zero point 0)."""
@@ -27,9 +33,14 @@ class QuantParams:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
+    @classmethod
+    def from_clip(cls, clip: float, bitwidth: int) -> "QuantParams":
+        """The scale that maps ``clip`` onto the largest quantized value."""
+        return cls(scale=clip / signed_range(bitwidth)[1], bitwidth=bitwidth)
+
     @property
     def qmax(self) -> int:
-        return (1 << (self.bitwidth - 1)) - 1
+        return signed_range(self.bitwidth)[1]
 
     @property
     def clip(self) -> float:
@@ -82,14 +93,13 @@ class HistogramCalibrator:
         if self.percentile == 100.0:
             return self.observed_max  # exact max tracking
         cum = np.cumsum(self.counts) / self.total
-        # tolerance so an exact-fraction boundary (e.g. 999/1000 at 99.9)
-        # is not missed to one ulp of float rounding
+        # tolerance so an exact-fraction boundary (e.g. 999/1000 at the
+        # default percentile) is not missed to one ulp of float rounding
         idx = int(np.argmax(cum >= self.percentile / 100.0 - 1e-9))
         return (idx + 1) * self.observed_max / self.num_bins
 
     def compute_scale(self, bitwidth: int) -> QuantParams:
-        clip = self.clip_value()
-        return QuantParams(scale=clip / ((1 << (bitwidth - 1)) - 1), bitwidth=bitwidth)
+        return QuantParams.from_clip(self.clip_value(), bitwidth)
 
 
 def _rebin(counts: np.ndarray, old_max: float, new_max: float) -> np.ndarray:
@@ -114,7 +124,7 @@ def max_scale(values, bitwidth: int) -> QuantParams:
     amax = float(np.abs(np.asarray(values)).max())
     if amax == 0.0:
         amax = 1e-8  # degenerate all-zero tensor; any scale represents it
-    return QuantParams(scale=amax / ((1 << (bitwidth - 1)) - 1), bitwidth=bitwidth)
+    return QuantParams.from_clip(amax, bitwidth)
 
 
 def quantize(x, qp: QuantParams) -> np.ndarray:
@@ -134,13 +144,14 @@ def fake_quant(x, qp: QuantParams) -> np.ndarray:
     return dequantize(quantize(x, qp), qp)
 
 
-def fake_quant_ste_grad(upstream_grad, x, qp: QuantParams) -> np.ndarray:
-    """STE backward of fake quantization: pass inside the clip, zero outside."""
+def fake_quant_ste_grad(upstream_grad, x, qp: QuantParams | None) -> np.ndarray:
+    """STE backward of fake quantization: pass inside the clip, zero outside;
+    with no scale (an unquantized operand) everything passes."""
     upstream_grad = np.asarray(upstream_grad)
     x = np.asarray(x)
     if upstream_grad.shape != x.shape:
         raise ValueError("gradient and input shapes must match")
-    return upstream_grad * (np.abs(x) <= qp.clip)
+    return upstream_grad if qp is None else upstream_grad * (np.abs(x) <= qp.clip)
 
 
 def save_scale_map(scales: dict[str, float], path: str) -> None:

@@ -35,6 +35,8 @@ class SearchParams:
             raise ValueError("exploration constant must be >= 0")
         if self.num_simulations < 1:
             raise ValueError("need at least one simulation")
+        if self.probe_batch_size < 1:
+            raise ValueError(f"probe_batch_size must be >= 1, got {self.probe_batch_size}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
 
@@ -144,7 +146,7 @@ def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
     that ACU applied to exactly one layer and the exact baseline (the first
     exact candidate) everywhere else."""
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
-    baseline_name = _exact_name(catalog, acu_names)
+    baseline_name = exact_baseline(catalog, acu_names)
     n_layers = model.cfg.num_layers
     base_cfg = (baseline_name,) * n_layers
     base_acc = predict_accuracy(model, base_cfg, catalog, probe_patches, probe_labels)
@@ -164,7 +166,8 @@ def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
     return SensitivityTable(acu_names, s, p, base_acc)
 
 
-def _exact_name(catalog: Catalog, names) -> str:
+def exact_baseline(catalog: Catalog, names) -> str:
+    """The power and accuracy baseline: the first exact multiplier in names."""
     for name in names:
         if catalog.get(name).kind == "exact":
             return name
@@ -268,7 +271,7 @@ def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
     probe_l = np.asarray(labels)[:params.probe_batch_size]
     sensitivity = (profile_sensitivity(model, catalog, probe_p, probe_l, acu_names)
                    if params.policy == "hw" else None)
-    baseline_name = _exact_name(catalog, acu_names)
+    baseline_name = exact_baseline(catalog, acu_names)
 
     def evaluate(config):
         acc = predict_accuracy(model, config, catalog, probe_p, probe_l)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model as nn
 from .multipliers import AxMultiplier, build_lut
-from .quant import QuantParams, max_scale
+from .quant import QuantParams, fake_quant_ste_grad as ste, max_scale
 
 
 @dataclass
@@ -26,6 +26,10 @@ class TrainHyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0 < self.data_fraction <= 1:
@@ -43,15 +47,18 @@ class Sgd:
             params[k] -= self.lr * g
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.m, self.v = {}, {}
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         corr1 = 1 - b1**self.t
         corr2 = 1 - b2**self.t
         for k, g in grads.items():
@@ -59,11 +66,7 @@ class Adam:
             v = self.v.setdefault(k, np.zeros_like(g))
             m += (1 - b1) * (g - m)
             v += (1 - b2) * (g * g - v)
-            params[k] -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
-
-
-def make_optimizer(hp: TrainHyperparams):
-    return Adam(hp.learning_rate) if hp.optimizer == "adam" else Sgd(hp.learning_rate)
+            params[k] -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
 
 
 def softmax_xent(logits, labels):
@@ -86,17 +89,13 @@ def _layer_norm_backward(dy, cache, g):
     return dx, dg, db
 
 
-def _mask(t, qp: QuantParams | None):
-    return 1.0 if qp is None else (np.abs(t) <= qp.clip)
-
-
 def linear_backward(dy, x, w, qp_x, qp_w):
     """STE gradients (dx, dw, db) of y = fq(x) @ fq(w) + b, treated as
     x @ w + b; a None scale masks nothing."""
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = (x2.T @ dy2) * _mask(w, qp_w)
-    dx = (dy @ w.T) * _mask(x, qp_x)
+    dw = ste(x2.T @ dy2, w, qp_w)
+    dx = ste(dy @ w.T, x, qp_x)
     return dx, dw, dy.sum(axis=tuple(range(dy.ndim - 1)))
 
 
@@ -106,12 +105,12 @@ def attention_backward(dout, cache, qps, d_k):
     under attn; qps masks by the same roles (None masks nothing)."""
     qps = qps or {}
     att, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
-    dv = np.matmul(np.swapaxes(att, -1, -2), dout) * _mask(v, qps.get("v"))
-    datt = np.matmul(dout, np.swapaxes(v, -1, -2)) * _mask(att, qps.get("attn"))
+    dv = ste(np.matmul(np.swapaxes(att, -1, -2), dout), v, qps.get("v"))
+    datt = ste(np.matmul(dout, np.swapaxes(v, -1, -2)), att, qps.get("attn"))
     dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
     inv_sqrt = 1.0 / np.sqrt(d_k)
-    dq = np.matmul(dscores, k) * inv_sqrt * _mask(q, qps.get("q"))
-    dk = np.matmul(np.swapaxes(dscores, -1, -2), q) * inv_sqrt * _mask(k, qps.get("k"))
+    dq = ste(np.matmul(dscores, k) * inv_sqrt, q, qps.get("q"))
+    dk = ste(np.matmul(np.swapaxes(dscores, -1, -2), q) * inv_sqrt, k, qps.get("k"))
     return dq, dk, dv
 
 
@@ -162,7 +161,7 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
     rng = np.random.default_rng(hp.seed)
     n = patches.shape[0]
     subset = rng.permutation(n)[:max(1, int(round(n * hp.data_fraction)))]
-    opt = make_optimizer(hp)
+    opt = (Adam if hp.optimizer == "adam" else Sgd)(hp.learning_rate)
     history = []
     for step in range(hp.iterations):
         idx = subset[rng.integers(0, subset.size, size=min(hp.batch_size, subset.size))]
@@ -189,7 +188,7 @@ def finetune(model: nn.VitModel, assignment, patches, labels,
     """
     if not model.calibrated:
         raise RuntimeError("model is not calibrated; run calibration first")
-    luts = nn.resolve_luts(assignment, catalog)
+    luts = [catalog.lut(name) for name in assignment]
     return _train_loop(model, patches, labels, hp, luts, quantized=True)
 
 
@@ -220,11 +219,12 @@ def _toy_attention_forward(x, w, qps, lut):
 
 
 def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
-                             seed: int = 0, tokens: int = 8, dim: int = 8,
-                             batch_size: int = 32, learning_rate: float = 0.3,
-                             bitwidth: int = 8) -> ToyAttentionResult:
+                             seed: int = 0) -> ToyAttentionResult:
     """Train one approximate attention layer with SGD to match a frozen
     real-arithmetic reference attention on standard-normal inputs."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    tokens, dim, batch_size, learning_rate, bitwidth = 8, 8, 32, 0.3, 8
     lut = build_lut(mult)
     rng = np.random.default_rng(seed)
     ref = {n: rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for n in ("wq", "wk", "wv")}
@@ -281,7 +281,7 @@ def ste_gradient_check(probe, epsilon: float = 1e-4, kind: str = "linear",
         raise ValueError("probe must be a 1-D vector")
     if clip is None:
         clip = 1.5 * float(np.abs(x).max())
-    qp = QuantParams(scale=clip / ((1 << (bitwidth - 1)) - 1), bitwidth=bitwidth)
+    qp = QuantParams.from_clip(clip, bitwidth)
 
     if np.any(np.abs(np.abs(x) - qp.clip) < epsilon):
         raise ValueError("rejected probe: component within epsilon of the clip boundary")

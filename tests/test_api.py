@@ -1,0 +1,63 @@
+"""The demos and the README library example only use names axvit provides.
+
+Both are parsed, not run: every ``from axvit[.module] import name`` must
+resolve, and so must every ``alias.name`` where ``alias`` is an imported
+axvit module.
+"""
+
+import ast
+import importlib
+import os
+import re
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+DEMOS = sorted(os.path.join(ROOT, "demos", f)
+               for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))
+
+
+def _readme_example():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        blocks = re.findall(r"```python\n(.*?)```", f.read(), re.S)
+    assert blocks, "README has no python example"
+    return "\n".join(blocks)
+
+
+def _sources():
+    for path in DEMOS:
+        with open(path) as f:
+            yield os.path.relpath(path, ROOT), f.read()
+    yield "README.md", _readme_example()
+
+
+def _axvit_references(tree):
+    """(module, name) for every name the code takes from an axvit module."""
+    aliases = {}  # local name -> axvit module it is bound to
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "axvit":
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "axvit":
+            for a in node.names:
+                refs.append((node.module, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.append((aliases[node.value.id], node.attr))
+    return refs
+
+
+SOURCES = dict(_sources())
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_every_axvit_name_resolves(name):
+    refs = _axvit_references(ast.parse(SOURCES[name]))
+    assert refs, f"{name} uses nothing from axvit"
+    for module, attr in refs:
+        mod = importlib.import_module(module)
+        if not hasattr(mod, attr):  # a submodule imported by name
+            importlib.import_module(f"{module}.{attr}")

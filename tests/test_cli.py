@@ -297,3 +297,52 @@ class TestDatasetFlag:
                    "synthetic:10", "--config", "mul8s_1KV6") == 1
         err = capsys.readouterr().err
         assert err.startswith("axvit eval: --dataset: ") and err.count("\n") == 1
+
+
+class TestPowerBaseline:
+    def test_catalog_without_builtin_exact_name(self, workspace, tmp_path, capsys):
+        catalog = tmp_path / "two.json"
+        catalog.write_text(json.dumps([
+            {"name": "ex", "bitwidth": 8, "kind": "exact", "power_mw": 0.5},
+            {"name": "t2", "bitwidth": 8, "kind": "truncate_lsb", "k": 2,
+             "power_mw": 0.3}]))
+        assert run("eval", "--model", workspace["ckpt"], "--dataset",
+                   workspace["data"], "--config", "ex", "--catalog", str(catalog),
+                   "--probe", "16") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["normalized_power"] == 1.0
+
+
+# Each count is checked where it is owned: TrainHyperparams (iterations,
+# batch_size), evaluate_accuracy (batch_limit), SearchParams
+# (probe_batch_size), toy_attention_experiment (iterations) and the
+# sensitivity command's own probe slice.
+BAD_COUNTS = {
+    "init-model --train-iters -1": (
+        ["init-model", "--train-iters", "-1", "--dataset", "synthetic:64:1"],
+        "iterations must be >= 0"),
+    "finetune --iters -3": (["finetune", "--config", "mul8s_1KV6", "--iters", "-3"],
+                            "iterations must be >= 0"),
+    "finetune --batch 0": (["finetune", "--config", "mul8s_1KV6", "--batch", "0"],
+                           "batch_size must be >= 1"),
+    "eval --probe -5": (["eval", "--config", "mul8s_1KV6", "--probe", "-5"],
+                        "batch_limit must be >= 1"),
+    "search --probe -60": (["search", "--probe", "-60"], "probe_batch_size must be >= 1"),
+    "sensitivity --probe -5": (["sensitivity", "--probe", "-5"], "--probe must be >= 1"),
+    "toy --iters 0": (["toy", "mul8s_1KV6", "--iters", "0"], "iterations must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_out_of_range_count(workspace, tmp_path, capsys, case):
+    argv, message = BAD_COUNTS[case]
+    command = argv[0]
+    if command not in ("init-model", "toy"):
+        argv = argv + ["--model", workspace["ckpt"], "--dataset", workspace["data"]]
+    if command != "eval" and command != "sensitivity":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"axvit {command}: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()

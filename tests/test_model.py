@@ -439,6 +439,30 @@ class TestData:
                                match=f"{re.escape(str(path))}: truncated IDX header"):
                 load(str(path))
 
+    @settings(max_examples=300, deadline=None)
+    @given(images=st.booleans(), magic=st.none() | st.integers(0, 2**32 - 1),
+           dims=st.lists(st.integers(0, 6) | st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+           tail=st.binary(max_size=120), cut=st.integers(0, 20))
+    def test_fuzzed_idx_loads_or_raises_value_error(self, tmp_path_factory, images,
+                                                   magic, dims, tail, cut):
+        """Arbitrary bytes, often behind a valid magic (None) and plausible
+        sizes: the reader returns the header's shape or names the path."""
+        if magic is None:
+            magic = dt.IDX_IMAGES_MAGIC if images else dt.IDX_LABELS_MAGIC
+        fields = [magic] + dims[:3 if images else 1]
+        blob = struct.pack(f">{len(fields)}I", *fields) + tail
+        if cut:
+            blob = blob[:-cut]
+        path = tmp_path_factory.getbasetemp() / "fuzz.idx"
+        path.write_bytes(blob)
+        load = dt.load_idx_images if images else dt.load_idx_labels
+        try:
+            out = load(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert out.shape == tuple(struct.unpack(f">{out.ndim}I", blob[4:4 + 4 * out.ndim]))
+
     def test_idx_bad_magic(self, tmp_path):
         path = tmp_path / "x.idx"
         path.write_bytes(b"\x00\x00\x00\x99" + b"\x00" * 12)

@@ -229,6 +229,37 @@ class TestMctsSearch:
         assert np.array_equal(r1.rewards, r2.rewards)
         assert [p.config for p in r1.points] == [p.config for p in r2.points]
 
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 4), num_layers=st.integers(1, 4),
+           sims=st.integers(1, 60), seed=st.integers(0, 2**16))
+    def test_property_tree_invariants(self, k, num_layers, sims, seed):
+        names = [f"m{j}" for j in range(k)]
+
+        def evaluate(config):  # seeded and deterministic per config
+            acc, power = np.random.default_rng(
+                [seed] + [int(n[1:]) for n in config]).random(2)
+            return float(acc), float(power)
+
+        res = se.mcts_search(num_layers, names, self.params(num_simulations=sims,
+                                                            seed=seed), evaluate)
+        root = res.root
+        assert root.visits == sims
+        assert len(res.points) == sims
+        assert root.total_reward == sum(res.rewards.tolist())
+
+        def walk(node):
+            if node.children is None:
+                return
+            assert len(node.children) == k
+            for j, ch in enumerate(node.children):
+                assert ch.depth == node.depth + 1
+                assert ch.assignment == node.assignment + (j,)
+                walk(ch)
+            assert node.visits - sum(ch.visits for ch in node.children) in (
+                (0,) if node is root else (0, 1))
+
+        walk(root)
+
     def test_hw_policy_requires_sensitivity(self):
         with pytest.raises(ValueError, match="sensitivity"):
             se.mcts_search(2, self.NAMES, self.params(policy="hw"),
