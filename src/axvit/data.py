@@ -68,6 +68,10 @@ def load_idx_images(path: str) -> np.ndarray:
         magic, n, h, w = _read_header(f, path, ">IIII")
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"{path}: bad IDX image magic {magic:#010x}")
+        # with a zero dimension the payload is empty, yet numpy still
+        # refuses a shape whose other dimensions overflow its index type
+        if max(n, 1) * max(h, 1) * max(w, 1) > np.iinfo(np.intp).max:
+            raise ValueError(f"{path}: IDX image shape {(n, h, w)} is too large")
         return _read_payload(f, path, n * h * w, "image").reshape(n, h, w)
 
 

@@ -10,6 +10,7 @@ real arithmetic.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -78,7 +79,8 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     Supports stacked matrices with matching leading dims, like np.matmul.
     Accumulation is exact 32-bit; only the multiplications are approximated.
 
-    A rank-1 table (``lut.factors`` set) runs as one float64 matmul of the
+    A table with integer factors (``lut.factors`` set, as ``build_lut``
+    gives every behavioral multiplier) runs as one float64 matmul of the
     factor lookups, ``f[a] @ g[b]``, which is exact while every partial sum
     stays below 2**53. Any other table is gathered one inner index at a
     time, so temporaries stay the size of the output (or a few thousand
@@ -414,9 +416,11 @@ def load_checkpoint(path: str) -> VitModel:
         version, hlen = struct.unpack("<BI", prefix)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        blob = f.read(hlen)
-        if len(blob) != hlen:
+        # compare with the file length first: a corrupt length can claim
+        # more bytes than a read can allocate
+        if os.fstat(f.fileno()).st_size - f.tell() < hlen:
             raise ValueError(f"{path}: truncated checkpoint header")
+        blob = f.read(hlen)
         data = f.read()
     try:
         header = json.loads(blob)

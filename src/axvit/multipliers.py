@@ -71,10 +71,9 @@ class ProductLut:
     Row/column indices use the offset encoding ``x + 2**(b-1)``, so index 0
     corresponds to the most negative operand. Entries are immutable int32.
 
-    When the table is an outer product of two integer vectors,
-    ``entries == outer(f, g)``, ``factors`` holds ``(f, g)`` as read-only
-    float64 arrays (otherwise None). Every exact, truncating and perforating
-    multiplier has such a table.
+    A table built by ``from_factors`` keeps its integer factors, with
+    ``entries == outer(f, g)``, in ``factors`` as read-only float64 arrays;
+    any other table has ``factors = None``.
     """
 
     def __init__(self, bitwidth: int, entries: np.ndarray):
@@ -87,7 +86,16 @@ class ProductLut:
         self.bitwidth = bitwidth
         self.entries = entries
         self.max_abs = max(int(entries.max()), -int(entries.min()))
-        self.factors = _rank1_factors(entries)
+        self.factors = None
+
+    @classmethod
+    def from_factors(cls, bitwidth: int, f, g) -> "ProductLut":
+        """The table ``outer(f, g)`` of two integer vectors in table order."""
+        lut = cls(bitwidth, np.outer(f, g))
+        lut.factors = tuple(np.array(t, dtype=np.float64) for t in (f, g))
+        for t in lut.factors:
+            t.setflags(write=False)
+        return lut
 
     def encode(self, x):
         """Table indices of the operands; raises if one is out of range."""
@@ -99,30 +107,6 @@ class ProductLut:
         return (isinstance(other, ProductLut)
                 and self.bitwidth == other.bitwidth
                 and np.array_equal(self.entries, other.entries))
-
-
-def _rank1_factors(entries: np.ndarray):
-    """Integer (f, g) with ``outer(f, g) == entries`` exactly, or None.
-
-    g is the first nonzero row divided by the gcd of its entries; f is the
-    column at g's first nonzero entry divided by that entry. Any integer
-    rank-1 table factors this way with integer f and g.
-    """
-    table = entries.astype(np.int64)
-    rows = np.flatnonzero(table.any(axis=1))
-    if rows.size == 0:
-        f = g = np.zeros(table.shape[0], dtype=np.int64)
-    else:
-        row = table[rows[0]]
-        g = row // np.gcd.reduce(row)
-        j0 = int(np.flatnonzero(g)[0])
-        f = table[:, j0] // g[j0]
-        if not np.array_equal(np.outer(f, g), table):
-            return None
-    factors = (f.astype(np.float64), g.astype(np.float64))
-    for t in factors:
-        t.setflags(write=False)
-    return factors
 
 
 def _check_range(bitwidth: int, x, what: str):
@@ -137,6 +121,14 @@ def _truncate(v, k):
     return (v >> k) << k
 
 
+def _truncations(m: AxMultiplier) -> tuple[int, int]:
+    """LSBs masked in (x, y): a behavioral product is
+    ``trunc(x, kx) * trunc(y, ky)``. Dropping the r lowest partial-product
+    rows of x * y leaves the rows of y's bits r and up, which sum to
+    ``x * trunc(y, r)``."""
+    return {"exact": (0, 0), "truncate_lsb": (m.k, m.k), "perforate_pp": (0, m.r)}[m.kind]
+
+
 def _external_lut(m: AxMultiplier) -> ProductLut:
     lut = load_lut(m.lut_path)
     if lut.bitwidth != m.bitwidth:
@@ -147,23 +139,11 @@ def _external_lut(m: AxMultiplier) -> ProductLut:
 
 def _product_array(m: AxMultiplier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized approximate product; operands already range-checked."""
-    x = x.astype(np.int64)
-    y = y.astype(np.int64)
-    if m.kind == "exact":
-        return x * y
-    if m.kind == "truncate_lsb":
-        return _truncate(x, m.k) * _truncate(y, m.k)
-    if m.kind == "perforate_pp":
-        b = m.bitwidth
-        ybits = y & ((1 << b) - 1)  # two's complement bit pattern
-        acc = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        for j in range(m.r, b):
-            bit = (ybits >> j) & 1
-            row = (x << j) * bit
-            acc += -row if j == b - 1 else row
-        return acc
-    lut = _external_lut(m)
-    return lut.entries[lut.encode(x), lut.encode(y)].astype(np.int64)
+    if m.kind == "external":
+        lut = _external_lut(m)
+        return lut.entries[lut.encode(x), lut.encode(y)].astype(np.int64)
+    kx, ky = _truncations(m)
+    return _truncate(x.astype(np.int64), kx) * _truncate(y.astype(np.int64), ky)
 
 
 def _operands(bitwidth: int) -> np.ndarray:
@@ -190,16 +170,18 @@ def approx_products(m: AxMultiplier, x, y) -> np.ndarray:
 
 
 def build_lut(m: AxMultiplier) -> ProductLut:
-    """Enumerate all 2**(2b) operand pairs into a product LUT (an external
-    multiplier's is the table it loads)."""
+    """The product LUT over all 2**(2b) operand pairs: a behavioral
+    multiplier's is the outer product of its truncated operands, an external
+    multiplier's is the table it loads."""
     if m.bitwidth > MAX_LUT_BITWIDTH:
         raise ValueError(
             f"bitwidth {m.bitwidth} exceeds LUT cap of {MAX_LUT_BITWIDTH} bits; "
             "use functional mode (approx_product) instead")
     if m.kind == "external":
         return _external_lut(m)
+    kx, ky = _truncations(m)
     ops = _operands(m.bitwidth)
-    return ProductLut(m.bitwidth, _product_array(m, ops[:, None], ops[None, :]))
+    return ProductLut.from_factors(m.bitwidth, _truncate(ops, kx), _truncate(ops, ky))
 
 
 def lut_lookup(lut: ProductLut, x, y):

@@ -158,8 +158,10 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
 
 
 def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
-    rng = np.random.default_rng(hp.seed)
     n = patches.shape[0]
+    if n == 0:
+        raise ValueError("the training set has no samples")
+    rng = np.random.default_rng(hp.seed)
     subset = rng.permutation(n)[:max(1, int(round(n * hp.data_fraction)))]
     opt = (Adam if hp.optimizer == "adam" else Sgd)(hp.learning_rate)
     history = []
@@ -224,7 +226,7 @@ def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
     real-arithmetic reference attention on standard-normal inputs."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    tokens, dim, batch_size, learning_rate, bitwidth = 8, 8, 32, 0.3, 8
+    tokens, dim, batch_size, learning_rate, bitwidth = 8, 8, 32, 0.3, mult.bitwidth
     lut = build_lut(mult)
     rng = np.random.default_rng(seed)
     ref = {n: rng.normal(0, 1 / np.sqrt(dim), (dim, dim)) for n in ("wq", "wk", "wv")}

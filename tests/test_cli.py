@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ class TestInitModel:
         assert "--dataset" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["init-model", "finetune"])
+    def test_empty_training_set(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--dataset", "synthetic:0:1"]
+        if command == "init-model":
+            argv += ["--train-iters", "5"]
+        else:
+            argv += ["--model", workspace["ckpt"], "--config", "mul8s_1KV6"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err == f"axvit {command}: the training set has no samples\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bitwidth", ["1", "40"])
     def test_bitwidth_out_of_range(self, tmp_path, capsys, bitwidth):
         out = tmp_path / "m.ckpt"
@@ -282,6 +299,14 @@ class TestToy:
         _, hcols, hrows = cli.read_csv(os.path.join(out, "histogram.csv"))
         assert hcols == ["bin_left", "bin_right", "output_count", "target_count"]
         assert len(hrows) == 50
+
+    def test_multiplier_bitwidth(self, tmp_path, capsys):
+        out = str(tmp_path / "toy4")
+        assert run("toy", "trunc4k1", "--out", out, "--iters", "20") == 0
+        capsys.readouterr()
+        comments, _, rows = cli.read_csv(os.path.join(out, "loss.csv"))
+        assert comments["multiplier"] == "trunc4k1"
+        assert len(rows) == 20 and all(np.isfinite(float(r[1])) for r in rows)
 
 
 class TestDatasetFlag:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axvit.model import axx_matmul
-from axvit.multipliers import (ProductLut, build_lut, builtin_catalog, lut_lookup,
-                               parse_multiplier_spec)
+from axvit.model import axx_matmul, evaluate_accuracy, vit_forward
+from axvit.multipliers import (AxMultiplier, Catalog, ProductLut, build_lut,
+                               builtin_catalog, lut_lookup, parse_multiplier_spec,
+                               save_lut)
 from axvit.quant import QuantParams, quantize
 from oracles import gather_matmul
 
@@ -35,7 +36,7 @@ def rank1_luts(draw):
     n = 1 << bitwidth
     f = rng.integers(-bound, bound + 1, size=n)
     g = rng.integers(-bound, bound + 1, size=n)
-    return ProductLut(bitwidth, np.outer(f, g))
+    return ProductLut.from_factors(bitwidth, f, g)
 
 
 @st.composite
@@ -106,15 +107,18 @@ def test_every_builtin_and_spec_lut_has_factors():
 
 @given(lut=rank1_luts())
 @settings(deadline=None)
-def test_outer_product_tables_have_factors(lut):
-    assert lut.factors is not None
-    assert np.array_equal(np.outer(*lut.factors), lut.entries)
+def test_from_factors_keeps_read_only_float64_factors(lut):
+    f, g = lut.factors
+    assert f.dtype == g.dtype == np.float64
+    assert not f.flags.writeable and not g.flags.writeable
+    assert np.array_equal(np.outer(f, g), lut.entries)
 
 
-def test_zero_table_factors():
-    lut = ProductLut(2, np.zeros((4, 4), dtype=int))
-    assert lut.factors is not None
-    assert not np.outer(*lut.factors).any()
+@pytest.mark.parametrize("entries", [np.outer(np.arange(-4, 4), np.arange(8) - 2),
+                                     np.zeros((8, 8), dtype=int)], ids=["rank1", "zeros"])
+def test_table_without_factors_has_none(entries):
+    # rank 1 or not, a table given by its entries runs the gather
+    assert ProductLut(3, entries).factors is None
 
 
 def test_noisy_external_table_has_no_factors():
@@ -126,11 +130,27 @@ def test_noisy_external_table_has_no_factors():
     assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
 
 
+def test_saved_behavioral_lut_runs_as_external_multiplier(tmp_path, small_calibrated_model,
+                                                         toy_data):
+    spec = parse_multiplier_spec("trunc8k2")
+    path = str(tmp_path / "trunc8k2.axlut")
+    save_lut(build_lut(spec), path)
+    catalog = Catalog([spec, AxMultiplier("ext", 8, "external", lut_path=path)])
+    ext, lut = catalog.lut("ext"), catalog.lut(spec.name)
+    assert ext.factors is None and lut.factors is not None and ext == lut
+    patches, labels = toy_data[0][:128], toy_data[1][:128]
+    model = small_calibrated_model
+    assert np.array_equal(vit_forward(model, patches, [ext] * 2),
+                          vit_forward(model, patches, [lut] * 2))
+    assert (evaluate_accuracy(model, patches, labels, ["ext"] * 2, catalog)
+            == evaluate_accuracy(model, patches, labels, [spec.name] * 2, catalog))
+
+
 def test_exactness_bound_selects_gather():
     # T[x, y] = x * g[y] reaches |T| = 2**31 at x = -2, so an inner dimension
     # of 2**22 makes K * max|T| = 2**53, past what float64 sums exactly
     g = np.array([0, 0, 0, 1 << 30])
-    lut = ProductLut(2, np.outer(np.arange(-2, 2), g))
+    lut = ProductLut.from_factors(2, np.arange(-2, 2), g)
     assert lut.max_abs == 2**31 and lut.factors is not None
     f, gf = lut.factors
     lut.factors = (f, -gf)  # the factor kernel now returns negated sums

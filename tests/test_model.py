@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import axvit as ax
 from axvit import data as dt
@@ -392,6 +392,31 @@ class TestCalibrateAndCheckpoint:
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
 
+    @settings(max_examples=200, deadline=None)
+    @given(magic=st.none() | st.binary(max_size=8), version=st.none() | st.integers(0, 255),
+           hlen=st.none() | st.integers(0, 2**32 - 1) | st.integers(0, 600),
+           tail=st.none() | st.binary(max_size=64))
+    # a header length of 4 GiB in a 12-byte file: the reader must not allocate it
+    @example(magic=None, version=None, hlen=2**32 - 1, tail=b"")
+    def test_fuzzed_framing_loads_or_raises_value_error(self, small_calibrated_model,
+                                                        tmp_path_factory, magic, version,
+                                                        hlen, tail):
+        """Magic, version byte, header length and the bytes after them, each
+        kept from a saved checkpoint (None) or arbitrary."""
+        path = tmp_path_factory.getbasetemp() / "framing.ckpt"
+        ax.save_checkpoint(small_calibrated_model, str(path))
+        blob = path.read_bytes()
+        start = len(ax.model.CHECKPOINT_MAGIC) + 5
+        saved_version, saved_hlen = struct.unpack("<BI", blob[start - 5:start])
+        path.write_bytes((blob[:start - 5] if magic is None else magic)
+                         + struct.pack("<BI", saved_version if version is None else version,
+                                       saved_hlen if hlen is None else hlen)
+                         + (blob[start:] if tail is None else tail))
+        try:
+            ax.load_checkpoint(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage data")
@@ -443,6 +468,8 @@ class TestData:
     @given(images=st.booleans(), magic=st.none() | st.integers(0, 2**32 - 1),
            dims=st.lists(st.integers(0, 6) | st.integers(0, 2**32 - 1), min_size=3, max_size=3),
            tail=st.binary(max_size=120), cut=st.integers(0, 20))
+    # no payload, but the shape's nonzero dimensions overflow numpy's index type
+    @example(images=True, magic=None, dims=[0, 3036988439, 3037012561], tail=b"", cut=0)
     def test_fuzzed_idx_loads_or_raises_value_error(self, tmp_path_factory, images,
                                                    magic, dims, tail, cut):
         """Arbitrary bytes, often behind a valid magic (None) and plausible

@@ -84,6 +84,16 @@ class TestBuildLut:
         assert np.array_equal(lut.entries,
                               approx_products(m, ops[:, None], ops[None, :]))
 
+    @pytest.mark.parametrize("b", range(2, 7))
+    def test_perforate_matches_bit_level_oracle_exhaustively(self, b):
+        ops = np.arange(-(1 << (b - 1)), 1 << (b - 1))
+        for r in range(b):
+            m = mult("perforate_pp", b=b, r=r)
+            want = [[perforated_product(x, y, b, r) for y in ops.tolist()]
+                    for x in ops.tolist()]
+            assert np.array_equal(approx_products(m, ops[:, None], ops[None, :]), want)
+            assert np.array_equal(build_lut(m).entries, want)
+
     def test_refuses_large_bitwidth(self):
         with pytest.raises(ValueError, match="functional"):
             build_lut(mult("exact", b=13))
