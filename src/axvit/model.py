@@ -429,7 +429,9 @@ def load_checkpoint(path: str) -> VitModel:
         bitwidth, scales = header["bitwidth"], header["scales"]
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
-    shapes = sorted(param_shapes(cfg).items())
+    # every layer has tensors, so compare the count first: a few header bytes
+    # must not make param_shapes build any number of layers
+    shapes = sorted(param_shapes(cfg).items()) if len(tensors) >= cfg.num_layers else None
     if tensors != shapes:
         raise ValueError(f"{path}: tensor names or shapes do not match the config")
     keys = {f"block{i}.{r}" for i in range(cfg.num_layers) for r in ACTIVATION_ROLES + WEIGHT_ROLES}

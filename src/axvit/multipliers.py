@@ -78,14 +78,18 @@ class ProductLut:
 
     def __init__(self, bitwidth: int, entries: np.ndarray):
         n = 1 << bitwidth
-        entries = np.asarray(entries, dtype=np.int32)
+        entries = np.asarray(entries)
         if entries.shape != (n, n):
             raise ValueError(f"expected {n}x{n} entries for bitwidth {bitwidth}")
-        entries = entries.copy()
+        # check before the cast: casting to int32 wraps what does not fit
+        lo, hi = int(entries.min()), int(entries.max())
+        if lo < signed_range(32)[0] or hi > signed_range(32)[1]:
+            raise ValueError(f"LUT entries span [{lo}, {hi}], outside the int32 range")
+        entries = entries.astype(np.int32)
         entries.setflags(write=False)
         self.bitwidth = bitwidth
         self.entries = entries
-        self.max_abs = max(int(entries.max()), -int(entries.min()))
+        self.max_abs = max(hi, -lo)
         self.factors = None
 
     @classmethod

@@ -67,12 +67,12 @@ class HistogramCalibrator:
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return self
-        if not np.isfinite(values).all():
-            raise ValueError("calibration data contains NaN or Inf")
         absv = np.abs(values)
         new_max = float(absv.max())
+        if not np.isfinite(new_max):  # NaN and ±inf carry through abs and max
+            raise ValueError("calibration data contains NaN or Inf")
         if new_max > self.observed_max:
-            if self.total:
+            if self.observed_max > 0.0:  # zeros seen so far stay in bin 0
                 self.counts = _rebin(self.counts, self.observed_max, new_max)
             self.observed_max = new_max
         if self.observed_max == 0.0:
@@ -103,19 +103,27 @@ class HistogramCalibrator:
 
 
 def _rebin(counts: np.ndarray, old_max: float, new_max: float) -> np.ndarray:
-    """Redistribute counts proportionally onto bins covering [0, new_max]."""
+    """Redistribute counts proportionally onto bins covering [0, new_max].
+
+    Old bin j spans [j, j + 1) * old_max / num_bins and new bins
+    [first_j, last_j) overlap it. All (j, new bin) pairs are listed at once,
+    and ``np.add.at`` adds each pair's share in ascending j, so every new bin
+    sums the same float64 terms in the same order as a loop over j would."""
     num_bins = counts.size
     new = np.zeros_like(counts)
     w_old = old_max / num_bins
     w_new = new_max / num_bins
-    for j in np.nonzero(counts)[0]:
-        lo, hi = j * w_old, (j + 1) * w_old
-        first = int(lo / w_new)
-        last = min(int(np.ceil(hi / w_new)), num_bins)
-        for nb in range(first, last):
-            overlap = min(hi, (nb + 1) * w_new) - max(lo, nb * w_new)
-            if overlap > 0:
-                new[nb] += counts[j] * overlap / (hi - lo)
+    j = np.nonzero(counts)[0]
+    lo, hi = j * w_old, (j + 1) * w_old
+    first = (lo / w_new).astype(np.int64)
+    last = np.minimum(np.ceil(hi / w_new).astype(np.int64), num_bins)
+    spans = last - first  # first <= j < num_bins, so never negative
+    pair = np.repeat(np.arange(j.size), spans)  # index into j of each pair
+    nb = first[pair] + np.arange(pair.size) - np.repeat(np.cumsum(spans) - spans, spans)
+    lo, hi = lo[pair], hi[pair]
+    overlap = np.minimum(hi, (nb + 1) * w_new) - np.maximum(lo, nb * w_new)
+    keep = overlap > 0
+    np.add.at(new, nb[keep], (counts[j[pair]] * overlap / (hi - lo))[keep])
     return new
 
 

@@ -107,3 +107,21 @@ def reference_power_reduction(frac_approx, power_approx, power_exact):
     approximate multiplier and the rest stays on the exact baseline."""
     used = frac_approx * power_approx + (1.0 - frac_approx) * power_exact
     return (1.0 - used / power_exact) * 100.0
+
+
+def rebin_loop(counts, old_max, new_max):
+    """Histogram rebinning by a loop over old bins and the new bins each one
+    overlaps: every old bin's count is split in proportion to the overlap."""
+    num_bins = counts.size
+    new = np.zeros_like(counts)
+    w_old = old_max / num_bins
+    w_new = new_max / num_bins
+    for j in np.nonzero(counts)[0]:
+        lo, hi = j * w_old, (j + 1) * w_old
+        first = int(lo / w_new)
+        last = min(int(np.ceil(hi / w_new)), num_bins)
+        for nb in range(first, last):
+            overlap = min(hi, (nb + 1) * w_new) - max(lo, nb * w_new)
+            if overlap > 0:
+                new[nb] += counts[j] * overlap / (hi - lo)
+    return new

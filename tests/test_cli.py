@@ -87,6 +87,17 @@ class TestCalibrate:
         for key in lo:
             assert hi[key] >= lo[key] - 1e-12
 
+    def test_unallocatable_bin_count(self, workspace, tmp_path, capsys):
+        # 10**15 float64 bins are 7.1 PiB, more than a 64-bit address space
+        # holds, so the allocation fails at once
+        out = tmp_path / "s.json"
+        assert run("calibrate", "--model", workspace["ckpt"], "--dataset",
+                   workspace["data"], "--out", str(out), "--bins", str(10**15)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("axvit calibrate: ") and err.count("\n") == 1
+        assert "allocate" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_report_fields_and_baseline(self, workspace, tmp_path, capsys):

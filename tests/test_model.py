@@ -417,6 +417,27 @@ class TestCalibrateAndCheckpoint:
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("tensors, data", [
+        ([], 0), ([{"name": "embed.b", "shape": [2]}], 16),
+        ([{"name": "embed.w", "shape": [1 << 20, 1 << 20]}], 16)],
+        ids=["no tensors", "one tensor", "huge tensor"])
+    def test_claimed_layer_count_rejected_before_shapes_are_built(
+            self, tmp_path, monkeypatch, tensors, data):
+        """A small file that claims 20000 layers is rejected by counting the
+        tensors its header lists, without building the 20000-layer shapes."""
+        calls, real = [], ax.model.param_shapes
+        monkeypatch.setattr(ax.model, "param_shapes", lambda cfg: calls.append(cfg) or real(cfg))
+        text = json.dumps({"config": {"num_layers": 20000}, "bitwidth": 8,
+                           "scales": None, "tensors": tensors}).encode()
+        path = tmp_path / "many.ckpt"
+        path.write_bytes(ax.model.CHECKPOINT_MAGIC
+                         + struct.pack("<BI", ax.model.CHECKPOINT_VERSION, len(text))
+                         + text + bytes(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "tensor names or shapes do not match"):
+            ax.load_checkpoint(str(path))
+        assert calls == []
+
     def test_checkpoint_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage data")

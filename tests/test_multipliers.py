@@ -103,6 +103,19 @@ class TestBuildLut:
         with pytest.raises(ValueError):
             lut.entries[0, 0] = 1
 
+    def test_entries_outside_int32_raise(self):
+        f = np.array([-2, -1, 0, 1 << 16])
+        with pytest.raises(ValueError, match=r"\[-131072, 4294967296\], outside the int32"):
+            ProductLut.from_factors(2, f, f)  # 2**16 * 2**16 wraps to 0 in int32
+        for bad in (1 << 31, -(1 << 31) - 1):
+            entries = np.zeros((4, 4), dtype=np.int64)
+            entries[3, 3] = bad
+            with pytest.raises(ValueError, match="outside the int32 range"):
+                ProductLut(2, entries)
+        entries[3, 2:] = -(1 << 31), (1 << 31) - 1  # the int32 limits themselves fit
+        lut = ProductLut(2, entries)
+        assert lut.max_abs == 1 << 31 and lut.entries.dtype == np.int32
+
 
 class TestLutLookup:
     def test_examples(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from axvit.quant import (
     HistogramCalibrator,
     QuantParams,
+    _rebin,
     dequantize,
     fake_quant,
     fake_quant_ste_grad,
@@ -12,6 +14,7 @@ from axvit.quant import (
     quantize,
     save_scale_map,
 )
+from oracles import rebin_loop
 
 
 class TestQuantParams:
@@ -30,6 +33,12 @@ class TestCalibrator:
         cal = HistogramCalibrator(num_bins=16).observe(np.zeros(40))
         assert cal.counts[0] == 40
         assert cal.observed_max == 0.0
+
+    def test_zeros_before_first_nonzero_keep_their_mass(self):
+        split = HistogramCalibrator().observe(np.zeros(1000)).observe(np.ones(10))
+        joint = HistogramCalibrator().observe(np.r_[np.zeros(1000), np.ones(10)])
+        assert split.counts.tolist() == joint.counts.tolist()
+        assert split.clip_value() == joint.clip_value() == 1.0
 
     def test_observed_max_uses_absolute_values(self):
         cal = HistogramCalibrator().observe(np.array([-1.0, 1.0]))
@@ -75,6 +84,14 @@ class TestCalibrator:
             HistogramCalibrator().observe(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="NaN or Inf"):
             HistogramCalibrator().observe(np.array([np.inf]))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            HistogramCalibrator().observe(np.array([2.0, -np.inf]))
+        buried = np.random.default_rng(5).normal(size=65536)
+        buried[40000] = np.nan
+        cal = HistogramCalibrator().observe(np.ones(3))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            cal.observe(buried)
+        assert (cal.total, cal.observed_max) == (3, 1.0)  # nothing was added
 
     def test_empty_calibrator_raises(self):
         with pytest.raises(RuntimeError):
@@ -85,6 +102,32 @@ class TestCalibrator:
         cal.observe(np.linspace(0.1, 1.0, 500))
         cal.observe(np.array([10.0]))
         assert cal.counts.sum() == pytest.approx(501)
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_bins=st.sampled_from([1, 2, 2048]) | st.integers(1, 2048),
+           density=st.sampled_from([0.002, 0.05, 0.5, 1.0]),
+           fractional=st.booleans(),
+           old_max=st.floats(1e-3, 1e3),
+           ratio=st.none() | st.floats(1.0, 100.0, exclude_min=True),
+           seed=st.integers(0, 2**32 - 1))
+    @example(num_bins=1, density=1.0, fractional=False, old_max=1.0, ratio=None, seed=0)
+    @example(num_bins=2, density=1.0, fractional=True, old_max=3.0, ratio=100.0, seed=1)
+    @example(num_bins=2048, density=1.0, fractional=True, old_max=0.7, ratio=None, seed=2)
+    @example(num_bins=2048, density=0.002, fractional=False, old_max=5.0, ratio=100.0, seed=3)
+    def test_rebin_matches_loop_bit_for_bit(self, num_bins, density, fractional,
+                                            old_max, ratio, seed):
+        """Sparse or dense, integral or fractional counts (calibration counts
+        turn fractional after the first rebin); ``ratio=None`` grows the
+        maximum by one ulp."""
+        rng = np.random.default_rng(seed)
+        counts = (rng.integers(0, 1000, num_bins) * (rng.random(num_bins) < density)
+                  ).astype(np.float64)
+        if fractional:
+            counts *= rng.random(num_bins)
+        up = np.nextafter(old_max, np.inf)
+        new_max = up if ratio is None else max(old_max * ratio, up)
+        got, want = _rebin(counts, old_max, new_max), rebin_loop(counts, old_max, new_max)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_scale_monotone_in_clip(self):
         small = HistogramCalibrator(percentile=100.0).observe(np.array([1.0]))
