@@ -60,6 +60,13 @@ def _write_text(path: str, text: str) -> None:
     _atomic_write(path, w)
 
 
+def _emit(out, text: str) -> None:
+    """Print text, and also write it to out when out is given."""
+    if out:
+        _write_text(out, text)
+    print(text, end="")
+
+
 def _csv_text(header_comments, columns, rows) -> str:
     buf = io.StringIO()
     for line in header_comments:
@@ -111,7 +118,17 @@ def _load_dataset(spec: str):
     else:
         imgs = dt.load_idx_images(os.path.join(spec, "images.idx"))
         labels = dt.load_idx_labels(os.path.join(spec, "labels.idx"))
+        if len(imgs) != len(labels):
+            raise ValueError(f"{spec}: {len(imgs)} images but {len(labels)} labels")
     return dt.images_to_patches(imgs), labels
+
+
+def _load_inputs(args):
+    """Model, catalog, patches and labels, loaded in that order."""
+    model = nn.load_checkpoint(args.model)
+    catalog = _load_catalog_arg(args)
+    patches, labels = _load_dataset(args.dataset)
+    return model, catalog, patches, labels
 
 
 def _parse_config(text: str, num_layers: int, catalog) -> list[str]:
@@ -154,10 +171,7 @@ def cmd_error_metrics(args) -> int:
         rows.append([m.name, m.bitwidth, repr(em.mae_pct), repr(em.wce_pct),
                      repr(em.mre_pct), repr(m.power_mw), repr(m.area_um2),
                      repr(m.delay_ns)])
-    text = _csv_text([], columns, rows)
-    if args.out:
-        _write_text(args.out, text)
-    print(text, end="")
+    _emit(args.out, _csv_text([], columns, rows))
     return 0
 
 
@@ -204,9 +218,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = nn.load_checkpoint(args.model)
-    catalog = _load_catalog_arg(args)
-    patches, labels = _load_dataset(args.dataset)
+    model, catalog, patches, labels = _load_inputs(args)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
     acc = nn.evaluate_accuracy(model, patches, labels, config, catalog,
                                batch_limit=args.probe)
@@ -215,17 +227,12 @@ def cmd_eval(args) -> int:
     report = {"config": config, "accuracy": acc, "normalized_power": power,
               "power_reduction_pct": se.power_reduction_pct(power),
               "samples": int(min(len(labels), args.probe) if args.probe else len(labels))}
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    print(text, end="")
+    _emit(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def cmd_finetune(args) -> int:
-    model = nn.load_checkpoint(args.model)
-    catalog = _load_catalog_arg(args)
-    patches, labels = _load_dataset(args.dataset)
+    model, catalog, patches, labels = _load_inputs(args)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
     hp = tr.TrainHyperparams(optimizer="adam", learning_rate=args.lr,
                              iterations=args.iters, batch_size=args.batch,
@@ -243,9 +250,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    model = nn.load_checkpoint(args.model)
-    catalog = _load_catalog_arg(args)
-    patches, labels = _load_dataset(args.dataset)
+    model, catalog, patches, labels = _load_inputs(args)
     if args.probe < 1:
         raise ValueError(f"--probe must be >= 1, got {args.probe}")
     table = se.profile_sensitivity(model, catalog, patches[:args.probe],
@@ -255,9 +260,7 @@ def cmd_sensitivity(args) -> int:
             for i in range(table.s.shape[1])]
     text = _csv_text([f"baseline_accuracy={table.baseline_accuracy!r}"],
                      ["multiplier", "layer", "sensitivity", "normalized_power"], rows)
-    if args.out:
-        _write_text(args.out, text)
-    print(text, end="")
+    _emit(args.out, text)
     return 0
 
 
@@ -267,9 +270,7 @@ def _search_header(args) -> list[str]:
 
 
 def cmd_search(args) -> int:
-    model = nn.load_checkpoint(args.model)
-    catalog = _load_catalog_arg(args)
-    patches, labels = _load_dataset(args.dataset)
+    model, catalog, patches, labels = _load_inputs(args)
     params = se.SearchParams(lam=args.lam, c=args.c, num_simulations=args.sims,
                              policy=args.policy, probe_batch_size=args.probe,
                              seed=args.seed)
@@ -339,9 +340,7 @@ def cmd_pareto(args) -> int:
                      ["config", "predicted_accuracy", "normalized_power", "reward"],
                      [["|".join(pt.config), repr(pt.predicted_accuracy),
                        repr(pt.normalized_power), repr(pt.reward)] for pt in front])
-    if args.out:
-        _write_text(args.out, text)
-    print(text, end="")
+    _emit(args.out, text)
     return 0
 
 
@@ -356,13 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "assignment search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help, seed=False, catalog=False):
+    def add(name, fn, help, seed=False, catalog=False, inputs=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if catalog:
             p.add_argument("--catalog", help="catalog JSON (default: built-in)")
+        if inputs:
+            p.add_argument("--model", required=True)
+            p.add_argument("--dataset", required=True)
         return p
 
     p = add("gen-lut", cmd_gen_lut, "build and save a product LUT", catalog=True)
@@ -389,26 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--dataset", help="required when --train-iters > 0")
 
-    p = add("calibrate", cmd_calibrate, "histogram-calibrate quantization scales")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
+    p = add("calibrate", cmd_calibrate, "histogram-calibrate quantization scales",
+            inputs=True)
     p.add_argument("--out", required=True, help="scale map JSON")
     p.add_argument("--save-model", help="also save the calibrated checkpoint")
     p.add_argument("--percentile", type=float, default=DEFAULT_PERCENTILE)
     p.add_argument("--bins", type=int, default=DEFAULT_NUM_BINS)
 
-    p = add("eval", cmd_eval, "accuracy and power of one assignment", catalog=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
+    p = add("eval", cmd_eval, "accuracy and power of one assignment",
+            catalog=True, inputs=True)
     p.add_argument("--config", required=True,
                    help="comma-separated per-layer multiplier names, or one name")
     p.add_argument("--probe", type=int, help="evaluate only the first N samples")
     p.add_argument("--out")
 
     p = add("finetune", cmd_finetune, "approximation-aware finetuning",
-            seed=True, catalog=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
+            seed=True, catalog=True, inputs=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--lr", type=float, default=5e-5)
@@ -417,16 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.025)
 
     p = add("sensitivity", cmd_sensitivity, "per-layer multiplier sensitivity",
-            catalog=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
+            catalog=True, inputs=True)
     p.add_argument("--probe", type=int, default=128)
     p.add_argument("--out")
 
     p = add("search", cmd_search, "MCTS over per-layer assignments",
-            seed=True, catalog=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
+            seed=True, catalog=True, inputs=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--c", type=float, default=math.sqrt(2.0))

@@ -23,7 +23,9 @@ LUT_MAGIC = b"AXLUT\x00"
 LUT_VERSION = 1
 MAX_LUT_BITWIDTH = 12
 
-KINDS = ("exact", "truncate_lsb", "perforate_pp", "external")
+# The one parameter each kind takes; a parameter a kind does not take must
+# keep its field default.
+KIND_PARAM = {"exact": None, "truncate_lsb": "k", "perforate_pp": "r", "external": "lut_path"}
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,14 @@ class AxMultiplier:
     delay_ns: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_PARAM:
             raise ValueError(f"unknown multiplier kind {self.kind!r}")
         if not 2 <= self.bitwidth <= 16:
             raise ValueError(f"bitwidth must be in [2, 16], got {self.bitwidth}")
+        for param in filter(None, KIND_PARAM.values()):
+            value = getattr(self, param)
+            if param != KIND_PARAM[self.kind] and value != getattr(AxMultiplier, param):
+                raise ValueError(f"{self.kind} multiplier takes no {param}, got {value!r}")
         if not 0 <= self.k < self.bitwidth:
             raise ValueError(f"k must satisfy 0 <= k < bitwidth, got k={self.k}")
         if not 0 <= self.r < self.bitwidth:
@@ -316,6 +322,7 @@ def builtin_catalog() -> Catalog:
 
 
 _SPEC_RE = re.compile(r"^(exact|trunc|perf)(\d+)(?:([kr])(\d+))?$")
+_SPEC_KINDS = {"exact": "exact", "trunc": "truncate_lsb", "perf": "perforate_pp"}
 
 
 def parse_multiplier_spec(spec: str, **hw) -> AxMultiplier:
@@ -325,20 +332,12 @@ def parse_multiplier_spec(spec: str, **hw) -> AxMultiplier:
         raise ValueError(f"cannot parse multiplier spec {spec!r} "
                          "(expected exact<b>, trunc<b>k<k> or perf<b>r<r>)")
     base, b, pk, pv = match.groups()
-    b = int(b)
-    if base == "exact":
-        if pk is not None:
-            raise ValueError(f"exact multiplier takes no parameter: {spec!r}")
-        return AxMultiplier(spec, b, "exact", **hw)
-    if pk is None:
-        raise ValueError(f"{spec!r} is missing its parameter")
-    if base == "trunc":
-        if pk != "k":
-            raise ValueError(f"truncation parameter must be k: {spec!r}")
-        return AxMultiplier(spec, b, "truncate_lsb", k=int(pv), **hw)
-    if pk != "r":
-        raise ValueError(f"perforation parameter must be r: {spec!r}")
-    return AxMultiplier(spec, b, "perforate_pp", r=int(pv), **hw)
+    kind = _SPEC_KINDS[base]
+    param = KIND_PARAM[kind]
+    if pk != param:
+        raise ValueError(f"{spec!r}: kind {kind} takes "
+                         + (f"parameter {param}" if param else "no parameter"))
+    return AxMultiplier(spec, int(b), kind, **({pk: int(pv)} if pk else {}), **hw)
 
 
 def save_catalog(catalog: Catalog, path: str) -> None:
@@ -346,12 +345,9 @@ def save_catalog(catalog: Catalog, path: str) -> None:
     for m in catalog:
         row = {"name": m.name, "bitwidth": m.bitwidth, "kind": m.kind,
                "power_mw": m.power_mw, "area_um2": m.area_um2, "delay_ns": m.delay_ns}
-        if m.kind == "truncate_lsb":
-            row["k"] = m.k
-        elif m.kind == "perforate_pp":
-            row["r"] = m.r
-        elif m.kind == "external":
-            row["lut_path"] = m.lut_path
+        param = KIND_PARAM[m.kind]
+        if param:
+            row[param] = getattr(m, param)
         rows.append(row)
     with open(path, "w") as f:
         json.dump(rows, f, indent=2)
@@ -364,6 +360,9 @@ def load_catalog(path: str) -> Catalog:
             rows = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON list of multipliers, "
+                         f"got {type(rows).__name__}")
     catalog = Catalog()
     for i, row in enumerate(rows):
         try:

@@ -8,6 +8,7 @@ a straight-through-estimator gradient that passes inside the clip range.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,15 +164,6 @@ def fake_quant_ste_grad(upstream_grad, x, qp: QuantParams | None) -> np.ndarray:
 
 
 def save_scale_map(scales: dict[str, float], path: str) -> None:
-    import json
-
     with open(path, "w") as f:
         json.dump(dict(sorted(scales.items())), f, indent=2)
         f.write("\n")
-
-
-def load_scale_map(path: str) -> dict[str, float]:
-    import json
-
-    with open(path) as f:
-        return json.load(f)

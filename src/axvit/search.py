@@ -29,10 +29,10 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.c < 0:
-            raise ValueError("exploration constant must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"exploration constant must be finite and >= 0, got {self.c}")
         if self.num_simulations < 1:
             raise ValueError("need at least one simulation")
         if self.probe_batch_size < 1:

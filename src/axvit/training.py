@@ -30,8 +30,8 @@ class TrainHyperparams:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 < self.data_fraction <= 1:
             raise ValueError("data_fraction must be in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):

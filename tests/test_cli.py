@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import axvit as ax
 from axvit import cli
@@ -69,6 +74,16 @@ class TestErrorMetrics:
         for name, m in ((r[0], r) for r in rows):
             em = ax.error_metrics(ax.builtin_catalog().get(name))
             assert float(table[name]["mae_pct"]) == em.mae_pct
+
+    def test_foreign_parameter_in_catalog(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{"name": "p", "bitwidth": 8,
+                                        "kind": "perforate_pp", "k": 2}]))
+        assert run("error-metrics", "--catalog", str(catalog)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"axvit error-metrics: {catalog}: entry 0: "
+                       "perforate_pp multiplier takes no k, got 2\n")
 
 
 class TestCalibrate:
@@ -334,6 +349,23 @@ class TestDatasetFlag:
         err = capsys.readouterr().err
         assert err.startswith("axvit eval: --dataset: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["init-model", "finetune", "eval"])
+    def test_image_label_count_mismatch(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        imgs, labels = dt.synthetic_dataset(100, 1)
+        dt.save_idx_images(str(data / "images.idx"), imgs)
+        dt.save_idx_labels(str(data / "labels.idx"), labels[:50])
+        out = tmp_path / "out"
+        argv = {"init-model": ["--train-iters", "3"],
+                "finetune": ["--model", workspace["ckpt"], "--config", "mul8s_1KV6",
+                             "--iters", "3"],
+                "eval": ["--model", workspace["ckpt"], "--config", "mul8s_1KV6"]}[command]
+        assert run(command, "--dataset", str(data), "--out", str(out), *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"axvit {command}: {data}: 100 images but 50 labels\n"
+        assert not out.exists()
+
 
 class TestPowerBaseline:
     def test_catalog_without_builtin_exact_name(self, workspace, tmp_path, capsys):
@@ -369,9 +401,27 @@ BAD_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_COUNTS))
-def test_out_of_range_count(workspace, tmp_path, capsys, case):
-    argv, message = BAD_COUNTS[case]
+# Non-finite floats are rejected where they are owned: SearchParams (lam, c)
+# and TrainHyperparams (learning_rate).
+NON_FINITE = {
+    "search --lambda nan --policy random": (["search", "--lambda", "nan", "--policy", "random"],
+                                            "lambda must be finite and >= 0, got nan"),
+    "search --lambda nan": (["search", "--lambda", "nan"],
+                            "lambda must be finite and >= 0, got nan"),
+    "search --lambda inf": (["search", "--lambda", "inf"],
+                            "lambda must be finite and >= 0, got inf"),
+    "search --c nan": (["search", "--c", "nan"],
+                       "exploration constant must be finite and >= 0, got nan"),
+    "search --c inf": (["search", "--c", "inf"],
+                       "exploration constant must be finite and >= 0, got inf"),
+    "finetune --lr nan": (["finetune", "--config", "mul8s_1KV6", "--lr", "nan"],
+                          "learning_rate must be finite and >= 0, got nan"),
+    "finetune --lr inf": (["finetune", "--config", "mul8s_1KV6", "--lr", "inf"],
+                          "learning_rate must be finite and >= 0, got inf"),
+}
+
+
+def assert_rejected(workspace, tmp_path, capsys, argv, message):
     command = argv[0]
     if command not in ("init-model", "toy"):
         argv = argv + ["--model", workspace["ckpt"], "--dataset", workspace["data"]]
@@ -382,3 +432,53 @@ def test_out_of_range_count(workspace, tmp_path, capsys, case):
     assert err.startswith(f"axvit {command}: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_out_of_range_count(workspace, tmp_path, capsys, case):
+    assert_rejected(workspace, tmp_path, capsys, *BAD_COUNTS[case])
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_flag(workspace, tmp_path, capsys, case):
+    assert_rejected(workspace, tmp_path, capsys, *NON_FINITE[case])
+
+
+# Numeric flags of the commands that read a model and a dataset. Counts that
+# set the amount of work stay small so an example runs in a fraction of a
+# second; floats mix the edge values with in-range and arbitrary ones.
+FLAG_FLOATS = (st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e308, -1e308])
+               | st.floats(0, 2) | st.floats())
+SEEDS = st.integers(-3, 3)
+FUZZED_FLAGS = {
+    "eval": {"--probe": st.integers(-3, 40)},
+    "sensitivity": {"--probe": st.integers(-3, 40)},
+    "search": {"--lambda": FLAG_FLOATS, "--c": FLAG_FLOATS, "--sims": st.integers(-3, 3),
+               "--probe": st.integers(-3, 16), "--seed": SEEDS,
+               "--policy": st.sampled_from(["hw", "random"])},
+    "finetune": {"--lr": FLAG_FLOATS, "--iters": st.integers(-3, 3),
+                 "--batch": st.integers(-3, 16), "--fraction": FLAG_FLOATS, "--seed": SEEDS},
+    "calibrate": {"--percentile": FLAG_FLOATS, "--bins": st.integers(-3, 3000)},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(workspace, data):
+    command = data.draw(st.sampled_from(sorted(FUZZED_FLAGS)), label="command")
+    # --flag=value, so that argparse reads a value like -inf as a value
+    flags = [f"{flag}={data.draw(values, label=flag)}"
+             for flag, values in FUZZED_FLAGS[command].items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=workspace["root"]) as tmp:
+        out = os.path.join(tmp, "out")
+        fixed = {"eval": ["--config", "mul8s_1L2H"], "sensitivity": [],
+                 "search": ["--out", out], "calibrate": ["--out", out],
+                 "finetune": ["--config", "mul8s_1L2H", "--out", out]}[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, "--model", workspace["ckpt"], "--dataset",
+                       workspace["data"], *fixed, *flags)
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().startswith(f"axvit {command}: ")
+        assert err.getvalue().count("\n") == 1

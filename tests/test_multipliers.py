@@ -246,6 +246,13 @@ class TestCatalog:
         with pytest.raises(ValueError, match=r":2:"):
             load_catalog(str(path))
 
+    @pytest.mark.parametrize("text", ["5", "null", '{"name": "a"}'])
+    def test_top_level_must_be_a_list(self, tmp_path, text):
+        path = tmp_path / "cat.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON list"):
+            load_catalog(str(path))
+
     def test_duplicate_name_rejected(self):
         cat = Catalog([mult("exact")])
         with pytest.raises(ValueError):
@@ -296,3 +303,15 @@ class TestValidation:
             AxMultiplier("m", 1, "exact")
         with pytest.raises(ValueError):
             AxMultiplier("m", 8, "exact", power_mw=-0.1)
+
+    @pytest.mark.parametrize("kind,param", [
+        ("perforate_pp", {"k": 2}), ("truncate_lsb", {"r": 3}),
+        ("exact", {"lut_path": "x"}), ("external", {"lut_path": "x", "k": 1})],
+        ids=["perforate_pp k", "truncate_lsb r", "exact lut_path", "external k"])
+    def test_foreign_parameter(self, kind, param):
+        with pytest.raises(ValueError, match="takes no"):
+            AxMultiplier("m", 8, kind, **param)
+
+    def test_foreign_parameter_at_its_default(self):
+        assert (AxMultiplier("m", 8, "perforate_pp", r=1, k=0, lut_path=None)
+                == AxMultiplier("m", 8, "perforate_pp", r=1))
