@@ -444,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"axvit {args.command}: {exc}", file=sys.stderr)

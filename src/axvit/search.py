@@ -39,6 +39,8 @@ class SearchParams:
             raise ValueError(f"probe_batch_size must be >= 1, got {self.probe_batch_size}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

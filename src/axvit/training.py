@@ -36,6 +36,8 @@ class TrainHyperparams:
             raise ValueError("data_fraction must be in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Sgd:
@@ -165,20 +167,27 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
     subset = rng.permutation(n)[:max(1, int(round(n * hp.data_fraction)))]
     opt = (Adam if hp.optimizer == "adam" else Sgd)(hp.learning_rate)
     history = []
-    for step in range(hp.iterations):
-        idx = subset[rng.integers(0, subset.size, size=min(hp.batch_size, subset.size))]
-        logits, cache = nn.vit_forward(model, patches[idx], luts,
-                                       quantized=quantized, collect=True)
-        loss, dlogits = softmax_xent(logits, labels[idx])
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged: non-finite loss at step {step}")
-        history.append(float(loss))
-        if hp.learning_rate == 0:
-            continue
-        grads = vit_backward(model, cache, dlogits, quantized=quantized)
-        opt.step(model.params, grads)
-        if quantized:  # weights drift during training; activation scales stay fixed
-            nn.refresh_weight_scales(model)
+    # finite but huge weights (a rate like 1e308) overflow in the next
+    # forward pass, before any loss exists to check; an overflow or invalid
+    # operation anywhere in a step is divergence
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(hp.iterations):
+                idx = subset[rng.integers(0, subset.size, size=min(hp.batch_size, subset.size))]
+                logits, cache = nn.vit_forward(model, patches[idx], luts,
+                                               quantized=quantized, collect=True)
+                loss, dlogits = softmax_xent(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"training diverged: non-finite loss at step {step}")
+                history.append(float(loss))
+                if hp.learning_rate == 0:
+                    continue
+                grads = vit_backward(model, cache, dlogits, quantized=quantized)
+                opt.step(model.params, grads)
+                if quantized:  # weights drift during training; activation scales stay fixed
+                    nn.refresh_weight_scales(model)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"training diverged: {exc} at step {step}") from None
     return history
 
 

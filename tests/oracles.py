@@ -125,3 +125,25 @@ def rebin_loop(counts, old_max, new_max):
             if overlap > 0:
                 new[nb] += counts[j] * overlap / (hi - lo)
     return new
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_pow(x):
+    """tanh-approximation GELU with the cube by numpy's power ufunc."""
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+
+
+def gelu_grad_pow(x):
+    """Derivative of gelu_pow, with the powers written as powers."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+
+
+def layer_norm_var(x, g, b):
+    """LayerNorm over the last axis by np.var; returns y, xhat and inv."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    return g * xhat + b, xhat, inv

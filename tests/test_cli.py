@@ -421,9 +421,30 @@ NON_FINITE = {
 }
 
 
+# A negative seed is rejected before numpy sees it: SearchParams and
+# TrainHyperparams own the check, and main makes it for every --seed flag.
+NEGATIVE_SEED = {
+    command: (argv + ["--seed=-1"], "seed must be >= 0, got -1") for command, argv in {
+        "search": ["search"],
+        "finetune": ["finetune", "--config", "mul8s_1KV6"],
+        "init-model": ["init-model"],
+        "gen-data": ["gen-data", "--num", "8"],
+        "toy": ["toy", "mul8s_1KV6", "--iters", "2"],
+    }.items()
+}
+
+# A finite rate too large to train with ends in the training loop's own error.
+DIVERGING = {
+    "finetune --lr 1e308": (["finetune", "--config", "mul8s_1KV6", "--lr=1e308",
+                             "--iters=3", "--batch=8", "--fraction=1"], "training diverged"),
+    "init-model --lr 1e308": (["init-model", "--train-iters=3", "--lr=1e308",
+                               "--dataset", "synthetic:64:1"], "training diverged"),
+}
+
+
 def assert_rejected(workspace, tmp_path, capsys, argv, message):
     command = argv[0]
-    if command not in ("init-model", "toy"):
+    if command not in ("init-model", "toy", "gen-data"):
         argv = argv + ["--model", workspace["ckpt"], "--dataset", workspace["data"]]
     if command != "eval" and command != "sensitivity":
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -442,6 +463,16 @@ def test_out_of_range_count(workspace, tmp_path, capsys, case):
 @pytest.mark.parametrize("case", list(NON_FINITE))
 def test_non_finite_flag(workspace, tmp_path, capsys, case):
     assert_rejected(workspace, tmp_path, capsys, *NON_FINITE[case])
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_SEED))
+def test_negative_seed(workspace, tmp_path, capsys, case):
+    assert_rejected(workspace, tmp_path, capsys, *NEGATIVE_SEED[case])
+
+
+@pytest.mark.parametrize("case", list(DIVERGING))
+def test_diverging_rate(workspace, tmp_path, capsys, case):
+    assert_rejected(workspace, tmp_path, capsys, *DIVERGING[case])
 
 
 # Numeric flags of the commands that read a model and a dataset. Counts that

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import axvit as ax
 from axvit import data as dt
@@ -15,6 +16,7 @@ from axvit.model import (
     block_forward,
     exact_int_matmul,
     gelu,
+    gelu_grad,
     layer_norm,
     linear_forward,
     refresh_weight_scales,
@@ -22,7 +24,7 @@ from axvit.model import (
 )
 from axvit.multipliers import AxMultiplier, build_lut
 from axvit.quant import QuantParams
-from oracles import truncated_product
+from oracles import gelu_grad_pow, gelu_pow, layer_norm_var, truncated_product
 
 EXACT_LUT = build_lut(AxMultiplier("exact8", 8, "exact"))
 TRUNC2_LUT = build_lut(AxMultiplier("trunc8k2", 8, "truncate_lsb", k=2))
@@ -171,6 +173,40 @@ class TestBlocks:
         out, _ = layer_norm(x, np.ones(8), np.zeros(8))
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-9)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64), elements=st.floats()))
+    @example(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5.7e102, 1e154, 1.5e154,
+                       -1e308, np.finfo(np.float64).max, 5e-324]))
+    def test_gelu_cube_by_products_within_rounding_of_pow(self, x):
+        """The cube as x * x * x moves GELU and its derivative by rounding
+        only: same finiteness and NaN-ness, and a few ulps where finite."""
+        with np.errstate(all="ignore"):
+            pairs = [(gelu(x), gelu_pow(x)), (gelu_grad(x), gelu_grad_pow(x))]
+        bound = 8 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(x))
+        for new, old in pairs:
+            assert np.array_equal(np.isnan(new), np.isnan(old))
+            assert np.array_equal(np.isfinite(new), np.isfinite(old))
+            finite = np.isfinite(old)
+            assert np.all(np.abs(new[finite] - old[finite]) <= bound[finite])
+            assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=40),
+                    elements=st.floats(-1e6, 1e6)),
+           scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e3, 1e150]), data=st.data())
+    def test_layer_norm_bit_identical_to_np_var(self, x, scale, data):
+        """Centring once gives np.var's exact steps, so every output is
+        bit-identical to the np.var form."""
+        x = x * scale
+        d = x.shape[-1]
+        g, b = (data.draw(arrays(np.float64, d, elements=st.floats(-4, 4))) for _ in "gb")
+        with np.errstate(all="ignore"):  # the extreme scales over- and underflow
+            y, (xhat, inv) = layer_norm(x, g, b)
+            wants = layer_norm_var(x, g, b)
+        for got, want in zip((y, xhat, inv), wants):
+            assert got.shape == want.shape
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestVitForward:

@@ -273,6 +273,10 @@ class TestMctsSearch:
         with pytest.raises(ValueError):
             se.SearchParams(policy="greedy")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            se.SearchParams(seed=-1)
+
 
 class TestSensitivityAndSurrogate:
     def test_exact_rows_are_unity(self, small_calibrated_model, toy_data, catalog):

@@ -27,6 +27,10 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             ax.TrainHyperparams(optimizer="rmsprop")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            ax.TrainHyperparams(seed=-1)
+
 
 class TestFinetune:
     def test_zero_lr_leaves_weights_unchanged(self, toy_data, catalog):
@@ -49,6 +53,19 @@ class TestFinetune:
                              hp, catalog)
         assert len(losses) == 8
         assert all(np.isfinite(v) for v in losses)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_huge_rate_reports_divergence(self, toy_data, catalog, optimizer):
+        """A finite rate of 1e308 overflows the weights (sgd) or the next
+        forward pass (adam's first step is about lr in size); either way the
+        loop names the divergence, not a quantizer range error."""
+        patches, labels = toy_data
+        model = small_model()
+        ax.calibrate(model, patches[:64])
+        hp = ax.TrainHyperparams(optimizer=optimizer, learning_rate=1e308,
+                                 iterations=3, batch_size=8, data_fraction=1.0)
+        with pytest.raises(RuntimeError, match=r"training diverged: .* at step [01]$"):
+            ax.finetune(model, ["mul8s_1L2H"], patches[:64], labels[:64], hp, catalog)
 
     def test_requires_calibration(self, toy_data, catalog):
         patches, labels = toy_data
