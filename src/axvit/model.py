@@ -10,6 +10,7 @@ real arithmetic.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, asdict
@@ -26,7 +27,7 @@ _INT32_MAX = np.int64(2**31 - 1)
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
 _GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the general kernel
 _LN_EPS = 1e-5
-_BATCH = 64  # samples per forward pass in evaluation and calibration
+BATCH = 64  # samples per forward pass in evaluation and calibration
 
 
 @dataclass(frozen=True)
@@ -305,17 +306,10 @@ def block_forward(model: VitModel, i: int, x, qps, lut):
                "attn_out": ctx, "ln2": ln2, "ffn_in": h2, "ffn_h": hf, "ffn_mid": a}
 
 
-def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=False):
-    """Full forward pass: exact patch embedding, L approximated blocks
-    (``block_forward``), mean pool, exact classifier head.
-
-    luts: per-block ProductLut list, or None for the exact integer reference
-    path (only meaningful when quantized). Returns logits, or (logits, cache)
-    when collect is set. The cache holds patches, pooled and, under
-    "blocks", each block's ``block_forward`` cache.
-    """
+def forward_inputs(model: VitModel, patches, luts=None, quantized=True) -> np.ndarray:
+    """The input checks of a forward pass: returns the patches as float64 after
+    checking their shape, the calibration and the LUT count."""
     cfg = model.cfg
-    p = model.params
     patches = np.asarray(patches, dtype=np.float64)
     if patches.shape[1:] != (cfg.num_patches, cfg.patch_dim):
         raise ValueError(f"expected patches [N, {cfg.num_patches}, {cfg.patch_dim}], "
@@ -325,23 +319,46 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     if luts is not None and len(luts) != cfg.num_layers:
         raise ValueError(f"need one LUT per transformer block: assignment length "
                          f"{len(luts)} != num_layers {cfg.num_layers}")
+    return patches
 
-    x = patches @ p["embed.w"] + p["embed.b"]
+
+def embed(model: VitModel, patches) -> np.ndarray:
+    """Exact patch embedding, the input of block 0."""
+    return patches @ model.params["embed.w"] + model.params["embed.b"]
+
+
+def pool_head(model: VitModel, x):
+    """Mean pool over the tokens and exact classifier head: (logits, pooled)."""
+    pooled = x.mean(axis=1)
+    return pooled @ model.params["head.w"] + model.params["head.b"], pooled
+
+
+def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=False):
+    """Full forward pass in stages: input checks (``forward_inputs``), exact
+    patch embedding (``embed``), L approximated blocks (``block_forward``),
+    mean pool and exact classifier head (``pool_head``).
+
+    luts: per-block ProductLut list, or None for the exact integer reference
+    path (only meaningful when quantized). Returns logits, or (logits, cache)
+    when collect is set. The cache holds patches, pooled and, under
+    "blocks", each block's ``block_forward`` cache.
+    """
+    patches = forward_inputs(model, patches, luts, quantized)
+    x = embed(model, patches)
     blocks = []
-    for i in range(cfg.num_layers):
+    for i in range(model.cfg.num_layers):
         lut = luts[i] if (quantized and luts is not None) else None
         x, bc = block_forward(model, i, x, model.block_qps(i) if quantized else None, lut)
         if collect:
             blocks.append(bc)
-    pooled = x.mean(axis=1)
-    logits = pooled @ p["head.w"] + p["head.b"]
+    logits, pooled = pool_head(model, x)
     if collect:
         return logits, {"patches": patches, "blocks": blocks, "pooled": pooled}
     return logits
 
 
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
-                      catalog=None, batch_limit=None, batch_size=_BATCH) -> float:
+                      catalog=None, batch_limit=None, batch_size=BATCH) -> float:
     """Top-1 accuracy on the (optionally truncated) labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
@@ -370,8 +387,8 @@ def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
     cals = {f"block{i}.{role}": HistogramCalibrator(num_bins, percentile)
             for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
     patches = np.asarray(patches)
-    for start in range(0, patches.shape[0], _BATCH):
-        _, cache = vit_forward(model, patches[start:start + _BATCH],
+    for start in range(0, patches.shape[0], BATCH):
+        _, cache = vit_forward(model, patches[start:start + BATCH],
                                quantized=False, collect=True)
         for i, bc in enumerate(cache["blocks"]):
             for role in ACTIVATION_ROLES:
@@ -443,7 +460,7 @@ def load_checkpoint(path: str) -> VitModel:
         raise ValueError(f"{path}: tensor names or shapes do not match the config")
     keys = {f"block{i}.{r}" for i in range(cfg.num_layers) for r in ACTIVATION_ROLES + WEIGHT_ROLES}
     if scales is not None and not (isinstance(scales, dict) and set(scales) == keys and all(
-            isinstance(v, float) and v > 0 for v in scales.values())):
+            isinstance(v, float) and 0 < v < math.inf for v in scales.values())):
         raise ValueError(f"{path}: scale map is not one positive scale per quantizer")
     sizes = [int(np.prod(shape)) for _, shape in shapes]
     if len(data) != 8 * sum(sizes):
@@ -451,6 +468,9 @@ def load_checkpoint(path: str) -> VitModel:
                          f"the header needs {8 * sum(sizes)}")
     flat = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
     params = {name: t.reshape(shape).astype(np.float64) for (name, shape), t in zip(shapes, flat)}
+    for name, t in params.items():
+        if not np.isfinite(t).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
     try:
         return VitModel(cfg, params, scales=scales, bitwidth=bitwidth)
     except ValueError as exc:

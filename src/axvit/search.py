@@ -9,6 +9,7 @@ front of (accuracy, power).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from . import model as nn
 from .multipliers import Catalog
 
 POLICIES = ("random", "hw")
+# Bytes of probe activations one PrefixMemo keeps. At the default probe of 128
+# and embed_dim 32 an entry takes 512 KiB, so a search of 1000 simulations on a
+# deep model would otherwise hold gigabytes.
+MEMO_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -134,24 +139,88 @@ def power_reduction_pct(norm_power: float) -> float:
 # Surrogate accuracy and sensitivity profiling
 # ---------------------------------------------------------------------------
 
-def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels) -> float:
-    """Probe-batch top-1 accuracy, the search's surrogate for full accuracy."""
-    if np.asarray(probe_patches).shape[0] == 0:
+class PrefixMemo:
+    """Probe-batch block outputs keyed by assignment prefix, for one model,
+    catalog and probe batch.
+
+    Block i's output depends only on the probe batch and ``assignment[:i+1]``,
+    so ``entries[prefix]`` holds the output of block ``len(prefix) - 1`` (the
+    embedded probe for ``()``), one read-only array per probe chunk of
+    ``model.BATCH`` samples. The least recently used entries go once the
+    entries hold more than ``MEMO_BYTES``.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple[str, ...], list[np.ndarray]] = OrderedDict()
+        self.nbytes = 0
+
+    def longest(self, assignment: tuple[str, ...]):
+        """(n, chunks) for the longest cached prefix ``assignment[:n]``, or
+        (0, None) when not even the embedded probe is cached."""
+        for n in range(len(assignment), -1, -1):
+            chunks = self.entries.get(assignment[:n])
+            if chunks is not None:
+                self.entries.move_to_end(assignment[:n])
+                return n, chunks
+        return 0, None
+
+    def store(self, prefix: tuple[str, ...], chunks: list[np.ndarray]) -> None:
+        for c in chunks:
+            c.flags.writeable = False
+        self.entries[prefix] = chunks
+        self.nbytes += sum(c.nbytes for c in chunks)
+        while self.nbytes > MEMO_BYTES:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= sum(c.nbytes for c in old)
+
+
+def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
+                     memo: PrefixMemo | None = None) -> float:
+    """Probe-batch top-1 accuracy, the search's surrogate for full accuracy.
+
+    Equal to ``evaluate_accuracy`` on the probe batch. With a memo, the blocks
+    of the longest prefix of ``assignment`` that it holds are not run again,
+    and every block output computed here is stored in it.
+    """
+    n = np.asarray(probe_patches).shape[0]
+    if n == 0:
         raise ValueError("empty probe batch")
-    return nn.evaluate_accuracy(model, probe_patches, probe_labels,
-                                assignment, catalog)
+    memo = PrefixMemo() if memo is None else memo
+    assignment = tuple(assignment)
+    luts = [catalog.lut(name) for name in assignment]
+    patches = nn.forward_inputs(model, probe_patches, luts)
+    done, xs = memo.longest(assignment)
+    if xs is None:
+        xs = [nn.embed(model, patches[s:s + nn.BATCH]) for s in range(0, n, nn.BATCH)]
+        memo.store((), xs)
+    for i in range(done, len(assignment)):
+        qps = model.block_qps(i)
+        xs = [nn.block_forward(model, i, x, qps, luts[i])[0] for x in xs]
+        memo.store(assignment[:i + 1], xs)
+    labels = np.asarray(probe_labels)
+    correct = sum(int((nn.pool_head(model, x)[0].argmax(axis=1)
+                       == labels[s:s + nn.BATCH]).sum())
+                  for s, x in zip(range(0, n, nn.BATCH), xs))
+    return correct / n
 
 
 def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
-                        acu_names=None) -> SensitivityTable:
+                        acu_names=None, memo: PrefixMemo | None = None) -> SensitivityTable:
     """Per-(ACU, layer) normalized probe accuracy and normalized power with
     that ACU applied to exactly one layer and the exact baseline (the first
-    exact candidate) everywhere else."""
+    exact candidate) everywhere else.
+
+    Every evaluation goes through one PrefixMemo (``memo``, or a new one), so
+    an ACU in layer i reuses the all-baseline blocks before it and profiling
+    runs L + (k-1)·L(L+1)/2 blocks per probe chunk instead of L + (k-1)·L².
+    """
+    memo = PrefixMemo() if memo is None else memo
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
     baseline_name = exact_baseline(catalog, acu_names)
     n_layers = model.cfg.num_layers
     base_cfg = (baseline_name,) * n_layers
-    base_acc = predict_accuracy(model, base_cfg, catalog, probe_patches, probe_labels)
+    base_acc = predict_accuracy(model, base_cfg, catalog, probe_patches, probe_labels,
+                                memo)
     if base_acc == 0:
         raise RuntimeError("all-exact probe accuracy is zero; model is degenerate")
     s = np.empty((len(acu_names), n_layers))
@@ -162,7 +231,7 @@ def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,
             cfg[i] = name
             # the baseline in one layer is the all-baseline config again
             acc = base_acc if name == baseline_name else predict_accuracy(
-                model, cfg, catalog, probe_patches, probe_labels)
+                model, cfg, catalog, probe_patches, probe_labels, memo)
             s[j, i] = acc / base_acc
             p[j, i] = power_of_config(cfg, catalog, model.cfg, baseline_name)
     return SensitivityTable(acu_names, s, p, base_acc)
@@ -267,16 +336,22 @@ def mcts_search(num_layers: int, acu_names, params: SearchParams, evaluate_fn,
 
 def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
                  acu_names=None) -> SearchResult:
-    """Convenience wrapper: fixed probe batch, sensitivity profiling, search."""
+    """Convenience wrapper: fixed probe batch, sensitivity profiling, search.
+
+    Profiling and every MCTS evaluation share one PrefixMemo, so each probe
+    block output is computed once per assignment prefix (while the memo's
+    byte bound keeps it); the results equal those of separate forward passes.
+    """
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
     probe_p = np.asarray(patches)[:params.probe_batch_size]
     probe_l = np.asarray(labels)[:params.probe_batch_size]
-    sensitivity = (profile_sensitivity(model, catalog, probe_p, probe_l, acu_names)
+    memo = PrefixMemo()
+    sensitivity = (profile_sensitivity(model, catalog, probe_p, probe_l, acu_names, memo)
                    if params.policy == "hw" else None)
     baseline_name = exact_baseline(catalog, acu_names)
 
     def evaluate(config):
-        acc = predict_accuracy(model, config, catalog, probe_p, probe_l)
+        acc = predict_accuracy(model, config, catalog, probe_p, probe_l, memo)
         power = power_of_config(config, catalog, model.cfg, baseline_name)
         return acc, power
 

@@ -147,3 +147,35 @@ def layer_norm_var(x, g, b):
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
     xhat = (x - mu) * inv
     return g * xhat + b, xhat, inv
+
+
+def probe_blocks(model, assignment, catalog, patches, batch=64):
+    """Fresh forward passes over the probe, `batch` samples at a time, as
+    evaluate_accuracy runs them: per chunk, the embedded input and each
+    block's output under `assignment`. The embedding is written out here; the
+    blocks are the package's block_forward."""
+    from axvit.model import block_forward
+
+    patches = np.asarray(patches, dtype=np.float64)
+    luts = [catalog.lut(name) for name in assignment]
+    chunks = []
+    for start in range(0, patches.shape[0], batch):
+        x = patches[start:start + batch] @ model.params["embed.w"] + model.params["embed.b"]
+        xs = [x]
+        for i, lut in enumerate(luts):
+            x = block_forward(model, i, x, model.block_qps(i), lut)[0]
+            xs.append(x)
+        chunks.append(xs)
+    return chunks
+
+
+def probe_accuracy(model, assignment, catalog, patches, labels, batch=64):
+    """Probe top-1 accuracy by probe_blocks, with the mean pool and the
+    classifier head written out here."""
+    labels = np.asarray(labels)
+    correct = 0
+    for start, xs in zip(range(0, len(patches), batch),
+                         probe_blocks(model, assignment, catalog, patches, batch)):
+        logits = xs[-1].mean(axis=1) @ model.params["head.w"] + model.params["head.b"]
+        correct += int((logits.argmax(axis=1) == labels[start:start + batch]).sum())
+    return correct / len(patches)

@@ -161,6 +161,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"axvit eval: {ckpt}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "search"])
+    def test_checkpoint_with_nan_weight(self, workspace, tmp_path, capsys, command):
+        model = ax.load_checkpoint(workspace["ckpt"])
+        model.params["block0.w1"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        ax.save_checkpoint(model, str(ckpt))
+        argv = {"eval": ["--config", "mul8s_1KV6"],
+                "search": ["--sims", "2", "--out", str(tmp_path / "out")]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, "--model", str(ckpt), "--dataset", "synthetic:64:1", *argv)
+        assert code == 1 and caught == []
+        err = capsys.readouterr().err
+        assert err == f"axvit {command}: {ckpt}: tensor block0.w1 holds non-finite values\n"
+
     def test_truncated_idx_header(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -357,7 +358,8 @@ class TestCalibrateAndCheckpoint:
     @pytest.mark.parametrize("defect", [
         "bad json", "no tensors", "no scales", "tensor shape", "missing tensor",
         "extra tensor", "scale key", "scale value", "zero dim", "bitwidth",
-        "bitwidth range", "short data", "trailing bytes"])
+        "bitwidth range", "short data", "trailing bytes", "nan tensor", "-inf tensor",
+        "infinite scale"])
     def test_checkpoint_malformed(self, small_calibrated_model, tmp_path, defect):
         full = str(tmp_path / "m.ckpt")
         ax.save_checkpoint(small_calibrated_model, full)
@@ -392,10 +394,23 @@ class TestCalibrateAndCheckpoint:
             data = data[:-8]
         elif defect == "trailing bytes":
             data += b"\x00"
+        elif defect in ("nan tensor", "-inf tensor"):
+            # tensors are stored in header order; poison block0.w1[0, 0]
+            names = [t["name"] for t in tensors]
+            offset = 8 * sum(int(np.prod(t["shape"]))
+                             for t in tensors[:names.index("block0.w1")])
+            value = np.nan if defect == "nan tensor" else -np.inf
+            data = data[:offset] + np.float64(value).astype("<f8").tobytes() + data[offset + 8:]
+        elif defect == "infinite scale":
+            header["scales"]["block0.q"] = math.inf  # JSON Infinity
         text = b"{not json" if defect == "bad json" else json.dumps(header).encode()
         path = tmp_path / "bad.ckpt"
         path.write_bytes(blob[:start - 4] + struct.pack("<I", len(text)) + text + data)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        message = {"nan tensor": "tensor block0.w1 holds non-finite values",
+                   "-inf tensor": "tensor block0.w1 holds non-finite values",
+                   "infinite scale": "scale map is not one positive scale per quantizer",
+                   }.get(defect, "")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             ax.load_checkpoint(str(path))
 
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import axvit as ax
 from axvit import search as se
+from axvit.multipliers import AxMultiplier, save_lut
 from oracles import (
     brute_force_pareto,
+    probe_accuracy,
+    probe_blocks,
     reference_policy,
     reference_power_reduction,
     reference_ucb,
 )
+from test_lut_matmul import noisy_exact_lut
 
 
 class TestUcbScore:
@@ -337,3 +343,174 @@ class TestSensitivityAndSurrogate:
         with pytest.raises(ValueError, match="empty"):
             se.predict_accuracy(small_calibrated_model, ["mul8s_1KV6"] * 2,
                                 catalog, np.zeros((0, 16, 16)), np.zeros(0, int))
+
+
+@pytest.fixture(scope="module")
+def deep(toy_data, tmp_path_factory):
+    """A calibrated 3-block model, 150 probe samples and a catalog whose
+    candidates include a non-rank-1 external table, so the gather kernel runs."""
+    patches, labels = toy_data
+    model = ax.init_model(ax.ModelConfig(num_layers=3, embed_dim=16, num_heads=2,
+                                         ffn_dim=32), seed=4)
+    ax.calibrate(model, patches[:128])
+    path = str(tmp_path_factory.mktemp("ext") / "ext.axlut")
+    save_lut(noisy_exact_lut(seed=5), path)
+    catalog = ax.builtin_catalog()
+    catalog.add(AxMultiplier("ext", 8, "external", lut_path=path, power_mw=0.36))
+    assert catalog.lut("ext").factors is None
+    return model, catalog, patches[200:350], labels[200:350]
+
+
+@pytest.fixture(scope="module")
+def fresh_accuracy(deep):
+    """probe_accuracy on the first 96 probe samples, once per config: the
+    searches at several seeds and policies evaluate many of the same."""
+    model, catalog, patches, labels = deep
+    return functools.cache(lambda config: probe_accuracy(model, config, catalog,
+                                                         patches[:96], labels[:96]))
+
+
+def entry_bytes(model, n):
+    """Bytes of one memo entry: n probe samples of one block output."""
+    return n * model.cfg.num_patches * model.cfg.embed_dim * 8
+
+
+class TestPrefixMemo:
+    NAMES = ["mul8s_1KV6", "mul8s_1L2L", "ext"]
+
+    def test_oracle_is_evaluate_accuracy(self, deep):
+        model, catalog, patches, labels = deep
+        for n, config in ((150, ["ext", "mul8s_1L2H", "mul8s_1KV6"]),
+                          (64, ["mul8s_1L2L"] * 3), (1, ["ext"] * 3)):
+            assert probe_accuracy(model, config, catalog, patches[:n], labels[:n]) == \
+                ax.evaluate_accuracy(model, patches[:n], labels[:n], config, catalog)
+
+    @pytest.mark.parametrize("bound", ["default", "evicting"])
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 150),
+           configs=st.lists(st.tuples(*[st.sampled_from(NAMES)] * 3), min_size=1, max_size=8))
+    def test_memoized_equals_fresh_forward(self, deep, bound, n, configs):
+        """Few names over three blocks, so the drawn assignments repeat and
+        share prefixes; probes of more than 64 samples run in chunks. The
+        evicting bound keeps two and a half entries."""
+        model, catalog, patches, labels = deep
+        probe_p, probe_l = patches[:n], labels[:n]
+        limit = se.MEMO_BYTES if bound == "default" else 5 * entry_bytes(model, n) // 2
+        memo = se.PrefixMemo()
+        fresh = {}
+        with mock.patch.object(se, "MEMO_BYTES", limit):
+            for config in configs:
+                if config not in fresh:
+                    fresh[config] = probe_blocks(model, config, catalog, probe_p)
+                got = se.predict_accuracy(model, config, catalog, probe_p, probe_l, memo)
+                assert got == probe_accuracy(model, config, catalog, probe_p, probe_l)
+                assert memo.nbytes == sum(c.nbytes for chunks in memo.entries.values()
+                                          for c in chunks) <= limit
+        for prefix, chunks in memo.entries.items():
+            full = next(c for c in fresh if c[:len(prefix)] == prefix)
+            want = [xs[len(prefix)] for xs in fresh[full]]
+            assert [c.shape for c in chunks] == [w.shape for w in want]
+            assert all(np.array_equal(c, w) and not c.flags.writeable
+                       for c, w in zip(chunks, want))
+        if bound == "evicting":
+            assert len(memo.entries) <= 2
+
+    def test_least_recently_used_entry_goes_first(self, monkeypatch):
+        chunk = np.zeros(10)
+        monkeypatch.setattr(se, "MEMO_BYTES", 3 * chunk.nbytes)
+        memo = se.PrefixMemo()
+        for prefix in [(), ("a",), ("a", "b")]:
+            memo.store(prefix, [chunk.copy()])
+        assert memo.longest(("a", "c")) == (1, memo.entries[("a",)])
+        memo.store(("a", "c"), [chunk.copy()])
+        assert list(memo.entries) == [("a", "b"), ("a",), ("a", "c")]
+        assert memo.nbytes == 3 * chunk.nbytes
+        assert memo.longest(("b",)) == (0, None)
+
+    def test_profiling_runs_each_block_prefix_once(self, deep, monkeypatch):
+        """An ACU in layer i reuses the all-baseline blocks before it:
+        L + (k-1)·L(L+1)/2 blocks per chunk instead of L + (k-1)·L²."""
+        model, catalog, patches, labels = deep
+        calls = []
+        real = ax.model.block_forward
+
+        def spy(m, i, x, qps, lut):
+            calls.append(x.shape[0])
+            return real(m, i, x, qps, lut)
+
+        monkeypatch.setattr(ax.model, "block_forward", spy)
+        table = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
+        k, L = len(table.acu_names), model.cfg.num_layers
+        per_chunk = L + (k - 1) * L * (L + 1) // 2
+        assert sorted(calls) == [32] * per_chunk + [64] * per_chunk
+
+    @pytest.mark.parametrize("policy", se.POLICIES)
+    def test_search_runs_each_block_prefix_once(self, deep, monkeypatch, policy):
+        """A whole search_model call embeds each probe chunk once and runs one
+        block per chunk for each new assignment prefix, in evaluation order."""
+        model, catalog, patches, labels = deep
+        name_of = {id(catalog.lut(n)): n for n in catalog.names()}
+        evaluated, blocks, embeds = [], [], []
+        real_predict, real_block, real_embed = (se.predict_accuracy, ax.model.block_forward,
+                                                ax.model.embed)
+
+        def spy_predict(*args):
+            evaluated.append(tuple(args[1]))
+            return real_predict(*args)
+
+        def spy_block(m, i, x, qps, lut):
+            blocks.append((i, name_of[id(lut)], x.shape[0]))
+            return real_block(m, i, x, qps, lut)
+
+        monkeypatch.setattr(se, "predict_accuracy", spy_predict)
+        monkeypatch.setattr(ax.model, "block_forward", spy_block)
+        monkeypatch.setattr(ax.model, "embed", lambda m, p: embeds.append(len(p))
+                            or real_embed(m, p))
+        params = se.SearchParams(num_simulations=40, policy=policy, probe_batch_size=96,
+                                 seed=1)
+        se.search_model(model, catalog, patches, labels, params)
+        want, seen = [], set()
+        for config in evaluated:
+            for i in range(len(config)):
+                if config[:i + 1] not in seen:
+                    seen.add(config[:i + 1])
+                    want += [(i, config[i], 64), (i, config[i], 32)]
+        assert blocks == want
+        assert embeds == [64, 32]
+
+    def test_profiling_equals_profiling_on_fresh_forwards(self, deep, monkeypatch):
+        model, catalog, patches, labels = deep
+        table = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
+        monkeypatch.setattr(se, "predict_accuracy", lambda m, config, *args:
+                            probe_accuracy(m, config, *args[:3]))
+        want = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
+        assert table.acu_names == want.acu_names == catalog.names()
+        assert table.s.tobytes() == want.s.tobytes()
+        assert table.p.tobytes() == want.p.tobytes()
+        assert table.baseline_accuracy == want.baseline_accuracy
+
+    @pytest.mark.parametrize("policy", se.POLICIES)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_search_equals_search_on_fresh_forwards(self, deep, fresh_accuracy, monkeypatch,
+                                                    policy, seed):
+        """search_model against mcts_search on fresh forward passes, with the
+        sensitivity table also profiled on fresh forward passes."""
+        model, catalog, patches, labels = deep
+        params = se.SearchParams(lam=0.3, num_simulations=40, policy=policy,
+                                 probe_batch_size=96, seed=seed)
+        got = se.search_model(model, catalog, patches, labels, params)
+        table = None
+        if policy == "hw":
+            monkeypatch.setattr(se, "predict_accuracy",
+                                lambda m, config, *args: fresh_accuracy(tuple(config)))
+            table = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
+            monkeypatch.undo()
+
+        def evaluate(config):
+            return fresh_accuracy(config), se.power_of_config(config, catalog, model.cfg,
+                                                              "mul8s_1KV6")
+
+        want = se.mcts_search(model.cfg.num_layers, catalog.names(), params, evaluate, table)
+        assert got.points == want.points
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        assert got.pareto == want.pareto
