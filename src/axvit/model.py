@@ -1,10 +1,11 @@
 """Minimal dense transformer engine with swappable integer multipliers.
 
 Every matrix multiply inside multi-head attention and the FFN runs on
-quantized operands and routes each scalar product through a product LUT
-(or an exact integer reference when no LUT is given). Softmax, LayerNorm,
-GELU, residual adds, the patch embedding and the classifier head stay in
-real arithmetic.
+quantized operands, and each scalar product is the one a product LUT holds
+(or the exact one when no LUT is given). A behavioral multiplier's product
+is computed in closed form from its operand truncations; any other table is
+gathered. Softmax, LayerNorm, GELU, residual adds, the patch embedding and
+the classifier head stay in real arithmetic.
 """
 
 from __future__ import annotations
@@ -74,26 +75,40 @@ def _to_int32(acc, kernel: str) -> np.ndarray:
     return acc.astype(np.int32)
 
 
+def _truncated(x, k: int) -> np.ndarray:
+    """trunc(x, k) as float64: x with its k LSBs masked, shifted in int32 so
+    that a narrow operand dtype cannot wrap."""
+    if k:
+        x = np.right_shift(x, k, dtype=np.int32)
+        x <<= k
+    return x.astype(np.float64)
+
+
 def axx_matmul(a, b, lut) -> np.ndarray:
     """Integer matmul where each product is an approximate LUT lookup.
 
     Supports stacked matrices with matching leading dims, like np.matmul.
     Accumulation is exact 32-bit; only the multiplications are approximated.
 
-    A table with integer factors (``lut.factors`` set, as ``build_lut``
-    gives every behavioral multiplier) runs as one float64 matmul of the
-    factor lookups, ``f[a] @ g[b]``, which is exact while every partial sum
+    A behavioral table (``lut.truncations = (kx, ky)``, as ``build_lut``
+    gives every exact, truncating and perforating multiplier) runs in closed
+    form: one float64 matmul of the truncated operands,
+    ``trunc(a, kx) @ trunc(b, ky)``, which is exact while every partial sum
     stays below 2**53. Any other table is gathered one inner index at a
     time, so temporaries stay the size of the output (or a few thousand
-    entries, whichever is larger).
+    entries, whichever is larger). No sum can leave int32 while
+    ``depth * lut.max_abs`` fits it; past that, the accumulator is scanned.
     """
     a, b = _check_matmul_shapes(a, b)
-    ea, eb = lut.encode(a), lut.encode(b)
     depth = a.shape[-1]
-    if lut.factors is not None and depth * lut.max_abs < _FLOAT_EXACT_LIMIT:
-        f, g = lut.factors
-        acc = np.matmul(f[ea], g[eb])
+    bound = depth * lut.max_abs
+    if lut.truncations is not None and bound < _FLOAT_EXACT_LIMIT:
+        lut.check(a)
+        lut.check(b)
+        kx, ky = lut.truncations
+        acc = np.matmul(_truncated(a, kx), _truncated(b, ky))
     else:
+        ea, eb = lut.encode(a), lut.encode(b)
         flat = lut.entries.ravel()
         rows = ea << lut.bitwidth
         acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -104,6 +119,8 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         for t in range(0, depth, step):
             part = flat.take(rows[..., :, t:t + step, None] + eb[..., None, t:t + step, :])
             acc += part[..., 0, :] if step == 1 else part.sum(axis=-2, dtype=np.int64)
+    if bound <= _INT32_MAX:
+        return acc.astype(np.int32)
     return _to_int32(acc, "axx_matmul")
 
 
@@ -125,7 +142,7 @@ def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np
     qx = quantize(x, qp_x)
     qy = quantize(y, qp_y)
     acc = axx_matmul(qx, qy, lut) if lut is not None else exact_int_matmul(qx, qy)
-    return acc.astype(np.float64) * (qp_x.scale * qp_y.scale)
+    return np.multiply(acc, qp_x.scale * qp_y.scale, dtype=np.float64)
 
 
 def attn_weight_qparams(bitwidth: int) -> QuantParams:
@@ -152,13 +169,15 @@ def _gelu_tanh(x):
     return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
 
-def gelu(x):
-    # tanh approximation
-    return 0.5 * x * (1.0 + _gelu_tanh(x))
+def gelu(x, t=None):
+    """tanh-approximation GELU; t, when given, is ``_gelu_tanh(x)``."""
+    return 0.5 * x * (1.0 + (_gelu_tanh(x) if t is None else t))
 
 
-def gelu_grad(x):
-    t = _gelu_tanh(x)
+def gelu_grad(x, t=None):
+    """Derivative of ``gelu``; t, when given, is ``_gelu_tanh(x)``."""
+    if t is None:
+        t = _gelu_tanh(x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
 
 
@@ -281,8 +300,9 @@ def block_forward(model: VitModel, i: int, x, qps, lut):
     arithmetic; lut: its ProductLut, or None for the exact integer reference.
     Returns the block output and its cache: the tensor each activation
     quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
-    heads), plus the softmax weights (attn), the GELU input (ffn_h) and the
-    LayerNorm caches (ln1, ln2).
+    heads), plus the softmax weights (attn), the GELU input (ffn_h), its
+    tanh term (ffn_t, which the backward reuses) and the LayerNorm caches
+    (ln1, ln2).
     """
     p = model.params
     pre = f"block{i}."
@@ -300,10 +320,12 @@ def block_forward(model: VitModel, i: int, x, qps, lut):
     x = x + linear(ctx, "attn_out", "wo")
     h2, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
     hf = linear(h2, "ffn_in", "w1")
-    a = gelu(hf)
+    t = _gelu_tanh(hf)
+    a = gelu(hf, t)
     x = x + linear(a, "ffn_mid", "w2")
     return x, {"ln1": ln1, "attn_in": h, "q": q, "k": k, "v": v, "attn": att,
-               "attn_out": ctx, "ln2": ln2, "ffn_in": h2, "ffn_h": hf, "ffn_mid": a}
+               "attn_out": ctx, "ln2": ln2, "ffn_in": h2, "ffn_h": hf, "ffn_t": t,
+               "ffn_mid": a}
 
 
 def forward_inputs(model: VitModel, patches, luts=None, quantized=True) -> np.ndarray:
@@ -386,11 +408,13 @@ def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
     max-calibrate weight scales. Stores the scale map on the model."""
     cals = {f"block{i}.{role}": HistogramCalibrator(num_bins, percentile)
             for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
-    patches = np.asarray(patches)
+    # the float forward in stages, each block observed as it runs, so that
+    # one block's cache is alive at a time, not all L
+    patches = forward_inputs(model, patches, quantized=False)
     for start in range(0, patches.shape[0], BATCH):
-        _, cache = vit_forward(model, patches[start:start + BATCH],
-                               quantized=False, collect=True)
-        for i, bc in enumerate(cache["blocks"]):
+        x = embed(model, patches[start:start + BATCH])
+        for i in range(model.cfg.num_layers):
+            x, bc = block_forward(model, i, x, None, None)
             for role in ACTIVATION_ROLES:
                 cals[f"block{i}.{role}"].observe(bc[role])
     model.scales = {key: cal.compute_scale(model.bitwidth).scale for key, cal in cals.items()}

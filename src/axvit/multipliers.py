@@ -77,9 +77,11 @@ class ProductLut:
     Row/column indices use the offset encoding ``x + 2**(b-1)``, so index 0
     corresponds to the most negative operand. Entries are immutable int32.
 
-    A table built by ``from_factors`` keeps its integer factors, with
-    ``entries == outer(f, g)``, in ``factors`` as read-only float64 arrays;
-    any other table has ``factors = None``.
+    A table built by ``from_truncations`` (as ``build_lut`` builds every
+    behavioral multiplier's) keeps ``truncations = (kx, ky)``: its entry for
+    (x, y) is ``trunc(x, kx) * trunc(y, ky)``. A table given by its entries,
+    such as a loaded AXLUT file, has ``truncations = None``, even when it
+    happens to be such a product.
     """
 
     def __init__(self, bitwidth: int, entries: np.ndarray):
@@ -96,20 +98,23 @@ class ProductLut:
         self.bitwidth = bitwidth
         self.entries = entries
         self.max_abs = max(hi, -lo)
-        self.factors = None
+        self.truncations = None
 
     @classmethod
-    def from_factors(cls, bitwidth: int, f, g) -> "ProductLut":
-        """The table ``outer(f, g)`` of two integer vectors in table order."""
-        lut = cls(bitwidth, np.outer(f, g))
-        lut.factors = tuple(np.array(t, dtype=np.float64) for t in (f, g))
-        for t in lut.factors:
-            t.setflags(write=False)
+    def from_truncations(cls, bitwidth: int, kx: int, ky: int) -> "ProductLut":
+        """The table of ``trunc(x, kx) * trunc(y, ky)``."""
+        ops = _operands(bitwidth)
+        lut = cls(bitwidth, np.outer(_truncate(ops, kx), _truncate(ops, ky)))
+        lut.truncations = (kx, ky)
         return lut
+
+    def check(self, x):
+        """Raises if an operand is outside the table's signed range."""
+        _check_range(self.bitwidth, x, "operand")
 
     def encode(self, x):
         """Table indices of the operands; raises if one is out of range."""
-        _check_range(self.bitwidth, x, "operand")
+        self.check(x)
         # add in intp: the offset does not fit a narrow operand dtype
         return np.add(x, -signed_range(self.bitwidth)[0], dtype=np.intp)
 
@@ -189,9 +194,7 @@ def build_lut(m: AxMultiplier) -> ProductLut:
             "use functional mode (approx_product) instead")
     if m.kind == "external":
         return _external_lut(m)
-    kx, ky = _truncations(m)
-    ops = _operands(m.bitwidth)
-    return ProductLut.from_factors(m.bitwidth, _truncate(ops, kx), _truncate(ops, ky))
+    return ProductLut.from_truncations(m.bitwidth, *_truncations(m))
 
 
 def lut_lookup(lut: ProductLut, x, y):

@@ -139,10 +139,18 @@ def max_scale(values, bitwidth: int) -> QuantParams:
 def quantize(x, qp: QuantParams) -> np.ndarray:
     """Saturating quantization with half-away-from-zero rounding."""
     x = np.asarray(x, dtype=np.float64)
-    # adding 0.5 with the sign of x, then truncating, rounds half away from
-    # zero; IEEE division and addition are sign-symmetric, so -x gives -q
-    q = np.trunc(x / qp.scale + np.copysign(0.5, x))
-    return np.clip(q, -qp.qmax, qp.qmax).astype(np.int32)
+    # |x| / scale + 0.5, capped at qmax, given x's sign back and truncated
+    # toward zero by the cast, rounds half away from zero and saturates.
+    # IEEE division and addition are sign-symmetric, so this equals
+    # clip(trunc(x / scale + copysign(0.5, x)), -qmax, qmax) bit for bit.
+    # Every step writes into one new array (out=, so that 0-d input gives an
+    # array, not a scalar), and x is only read.
+    q = np.abs(x, out=np.empty_like(x))
+    q /= qp.scale
+    q += 0.5
+    np.minimum(q, qp.qmax, out=q)
+    np.copysign(q, x, out=q)
+    return q.astype(np.int32)
 
 
 def dequantize(q, qp: QuantParams) -> np.ndarray:

@@ -144,7 +144,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
             return dx_in
 
         # x_mid = x_in + mha(LN1(x_in)); x_out = x_mid + ffn(LN2(x_mid))
-        dh = linear(dx, "ffn_mid", "w2") * nn.gelu_grad(bc["ffn_h"])
+        dh = linear(dx, "ffn_mid", "w2") * nn.gelu_grad(bc["ffn_h"], bc["ffn_t"])
         dx = dx + norm(linear(dh, "ffn_in", "w1"), "ln2")
         dctx = linear(dx, "attn_out", "wo")
         dq, dk, dv = attention_backward(nn._split_heads(dctx, cfg.num_heads), bc, qps,

@@ -1,5 +1,8 @@
-"""Property tests of the LUT matmul kernels against the one-shot gather oracle,
-and of the quantizer against its original sign/floor formula."""
+"""Property tests of the LUT matmul kernels against the one-shot gather oracle
+and the bit-level product oracles, and of the quantizer against its original
+sign/floor formula."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -7,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from axvit.model import axx_matmul, evaluate_accuracy, vit_forward
-from axvit.multipliers import (AxMultiplier, Catalog, ProductLut, build_lut,
-                               builtin_catalog, lut_lookup, parse_multiplier_spec,
-                               save_lut)
+from axvit.multipliers import (MAX_LUT_BITWIDTH, AxMultiplier, Catalog, ProductLut,
+                               build_lut, builtin_catalog, load_lut, lut_lookup,
+                               parse_multiplier_spec, save_lut)
 from axvit.quant import QuantParams, quantize
-from oracles import gather_matmul
+from oracles import gather_matmul, perforated_product, truncated_product
 
 SPECS = ("exact8", "trunc8k1", "trunc8k2", "trunc8k3", "perf8r1", "perf8r2", "perf8r3")
 SPEC_LUTS = {spec: build_lut(parse_multiplier_spec(spec)) for spec in SPECS}
@@ -29,14 +32,15 @@ def noisy_exact_lut(seed, bitwidth=8):
 
 @st.composite
 def rank1_luts(draw):
-    """Random integer outer-product tables with int32 entries."""
+    """Random integer outer-product tables with int32 entries, given by their
+    entries, so they run the gather."""
     bitwidth = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bound = draw(st.sampled_from((2, 200, 10000)))  # sums of six stay in int32
     n = 1 << bitwidth
     f = rng.integers(-bound, bound + 1, size=n)
     g = rng.integers(-bound, bound + 1, size=n)
-    return ProductLut.from_factors(bitwidth, f, g)
+    return ProductLut(bitwidth, np.outer(f, g))
 
 
 @st.composite
@@ -91,39 +95,17 @@ def test_lut_lookup_narrow_operands(dtype):
         assert lut_lookup(lut, dtype(-128), dtype(-1)) == 128
 
 
-def test_every_builtin_and_spec_lut_has_factors():
-    luts = [builtin_catalog().lut(name) for name in builtin_catalog().names()]
-    specs = [f"exact{b}" for b in (2, 4, 8)]
-    specs += [f"trunc8k{k}" for k in range(8)] + [f"perf8r{r}" for r in range(8)]
-    specs += ["trunc4k1", "trunc6k3", "perf4r1", "perf6r5"]
-    luts += [build_lut(parse_multiplier_spec(s)) for s in specs]
-    for lut in luts:
-        assert lut.factors is not None
-        f, g = lut.factors
-        assert f.dtype == g.dtype == np.float64
-        assert not f.flags.writeable and not g.flags.writeable
-        assert np.array_equal(np.outer(f, g), lut.entries)
-
-
-@given(lut=rank1_luts())
-@settings(deadline=None)
-def test_from_factors_keeps_read_only_float64_factors(lut):
-    f, g = lut.factors
-    assert f.dtype == g.dtype == np.float64
-    assert not f.flags.writeable and not g.flags.writeable
-    assert np.array_equal(np.outer(f, g), lut.entries)
-
-
 @pytest.mark.parametrize("entries", [np.outer(np.arange(-4, 4), np.arange(8) - 2),
                                      np.zeros((8, 8), dtype=int)], ids=["rank1", "zeros"])
 def test_table_without_factors_has_none(entries):
-    # rank 1 or not, a table given by its entries runs the gather
-    assert ProductLut(3, entries).factors is None
+    # rank 1 or not, a table given by its entries, not by the truncations
+    # that factor it, has none and runs the gather
+    assert ProductLut(3, entries).truncations is None
 
 
 def test_noisy_external_table_has_no_factors():
     lut = noisy_exact_lut(seed=3)
-    assert lut.factors is None
+    assert lut.truncations is None
     rng = np.random.default_rng(0)
     a = rng.integers(-128, 128, size=(4, 16, 32))
     b = rng.integers(-128, 128, size=(32, 24))
@@ -137,7 +119,7 @@ def test_saved_behavioral_lut_runs_as_external_multiplier(tmp_path, small_calibr
     save_lut(build_lut(spec), path)
     catalog = Catalog([spec, AxMultiplier("ext", 8, "external", lut_path=path)])
     ext, lut = catalog.lut("ext"), catalog.lut(spec.name)
-    assert ext.factors is None and lut.factors is not None and ext == lut
+    assert ext.truncations is None and lut.truncations == (2, 2) and ext == lut
     patches, labels = toy_data[0][:128], toy_data[1][:128]
     model = small_calibrated_model
     assert np.array_equal(vit_forward(model, patches, [ext] * 2),
@@ -147,18 +129,112 @@ def test_saved_behavioral_lut_runs_as_external_multiplier(tmp_path, small_calibr
 
 
 def test_exactness_bound_selects_gather():
-    # T[x, y] = x * g[y] reaches |T| = 2**31 at x = -2, so an inner dimension
-    # of 2**22 makes K * max|T| = 2**53, past what float64 sums exactly
-    g = np.array([0, 0, 0, 1 << 30])
-    lut = ProductLut.from_factors(2, np.arange(-2, 2), g)
-    assert lut.max_abs == 2**31 and lut.factors is not None
-    f, gf = lut.factors
-    lut.factors = (f, -gf)  # the factor kernel now returns negated sums
-    for depth, want in ((2**22 - 1, -(1 << 30)), (2**22, 1 << 30)):
+    # a table whose truncations disagree with its entries shows which kernel
+    # ran: the closed form gives 1 * 1 = 1, the gather T[1, 1] = -1. |T|
+    # reaches 2**31, so an inner dimension of 2**22 makes K * max|T| = 2**53,
+    # past what float64 sums exactly
+    entries = np.zeros((4, 4), dtype=np.int64)
+    entries[0, 0], entries[3, 3] = -(1 << 31), -1
+    lut = ProductLut(2, entries)
+    lut.truncations = (0, 0)
+    for depth, want in ((2**22 - 1, 1), (2**22, -1)):
         a = np.zeros((1, depth), dtype=np.int8)
         a[0, depth // 2] = 1
         b = np.ones((depth, 1), dtype=np.int8)
         assert axx_matmul(a, b, lut)[0, 0] == want
+
+
+@pytest.mark.parametrize("lut", [SPEC_LUTS["exact8"], noisy_exact_lut(seed=4)],
+                         ids=["behavioral", "entries"])
+def test_accumulator_overflow_past_the_static_bound(lut):
+    # depth * max|T| passes 2**31 - 1, so the accumulator is scanned: all
+    # -128 sums past int32, mixed signs sum within it and stay exact
+    depth = 200_000
+    a = np.full((1, depth), -128, dtype=np.int8)
+    with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+        axx_matmul(a, np.full((depth, 1), -128, dtype=np.int8), lut)
+    b = np.where(np.arange(depth) % 2, 127, -128).astype(np.int8).reshape(depth, 1)
+    want = gather_matmul(a, b, lut.entries)
+    assert abs(int(want[0, 0])) < 2**31 and depth * lut.max_abs > 2**31
+    assert axx_matmul(a, b, lut).tolist() == want.tolist()
+
+
+BEHAVIORAL_SPECS = tuple(
+    spec for b in range(2, MAX_LUT_BITWIDTH + 1)
+    for spec in ([f"exact{b}", f"trunc{b}k{b - 1}", f"perf{b}r{b // 2}"] if b > 10 else
+                 [f"exact{b}"] + [f"trunc{b}k{k}" for k in sorted({1, b // 2, b - 1})]
+                 + [f"perf{b}r{r}" for r in sorted({1, b // 2, b - 1})]))
+
+
+@pytest.fixture(scope="module")
+def behavioral_lut():
+    """Each spec's table, built once for the module: a 12-bit one holds
+    2**24 entries."""
+    return functools.cache(lambda spec: build_lut(parse_multiplier_spec(spec)))
+
+
+def _bit_level_matmul(a, b, m):
+    """sum_k p(a[..., i, k], b[..., k, j]) with p the bit-level product oracle
+    of m, in Python integers."""
+    if m.kind == "perforate_pp":
+        product = functools.partial(perforated_product, b=m.bitwidth, r=m.r)
+    else:
+        product = functools.partial(truncated_product, b=m.bitwidth, k=m.k)
+    pairs = np.broadcast_arrays(a[..., :, :, None].astype(object),
+                                b[..., None, :, :].astype(object))
+    terms = np.frompyfunc(lambda x, y: product(int(x), int(y)), 2, 1)(*pairs)
+    return np.add.reduce(terms, axis=-2, initial=0).astype(np.int64)
+
+
+def test_every_builtin_and_spec_lut_has_truncations(behavioral_lut):
+    catalog = builtin_catalog()
+    assert ([catalog.lut(name).truncations for name in catalog.names()]
+            == [(0, 0), (1, 1), (2, 2), (3, 3)])
+    for b in range(2, MAX_LUT_BITWIDTH + 1):
+        assert behavioral_lut(f"exact{b}").truncations == (0, 0)
+    for k in range(8):
+        assert build_lut(parse_multiplier_spec(f"trunc8k{k}")).truncations == (k, k)
+        assert build_lut(parse_multiplier_spec(f"perf8r{k}")).truncations == (0, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(BEHAVIORAL_SPECS), data=st.data())
+def test_closed_form_equals_gather_and_bit_level_oracles(behavioral_lut, spec, data):
+    m = parse_multiplier_spec(spec)
+    lut = behavioral_lut(spec)
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(
+        signature="(m,k),(k,n)->(m,n)", max_dims=2, min_side=0, max_side=5))
+    dtype = data.draw(st.sampled_from((np.int32, np.int8, np.int16, np.uint8)))
+    lo, hi = -(1 << (m.bitwidth - 1)), (1 << (m.bitwidth - 1)) - 1
+    lo, hi = max(lo, np.iinfo(dtype).min), min(hi, np.iinfo(dtype).max)
+    # truncation keeps -2**(b-1) whole; ±qmax lose the most to it
+    edges = st.sampled_from([v for v in (-(1 << (m.bitwidth - 1)), -hi, hi, 0) if v >= lo])
+    elements = st.one_of(edges, st.integers(lo, hi))
+    a_shape, b_shape = shapes.input_shapes
+    a = data.draw(hnp.arrays(dtype, a_shape, elements=elements))
+    b = data.draw(hnp.arrays(dtype, b_shape, elements=elements))
+    got = axx_matmul(a, b, lut)
+    assert got.dtype == np.int32
+    assert got.shape == shapes.result_shape
+    assert np.array_equal(got, gather_matmul(a, b, lut.entries))
+    assert np.array_equal(got, _bit_level_matmul(a, b, m))
+
+
+@pytest.mark.parametrize("spec", ["trunc9k8", "trunc12k11", "perf12r9"])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_narrow_operands_on_wide_tables(behavioral_lut, spec, dtype):
+    # trunc(-1, 11) = -2048 does not fit the operand dtype
+    info = np.iinfo(dtype)
+    a = np.arange(info.min, info.max + 1).astype(dtype).reshape(16, 16)
+    lut = behavioral_lut(spec)
+    for x, y in ((a, a.T), (a.T, a), (a[:, :1], a[:1])):
+        assert np.array_equal(axx_matmul(x, y, lut), gather_matmul(x, y, lut.entries))
+
+
+def test_loaded_table_has_no_truncations(tmp_path):
+    path = str(tmp_path / "trunc6k2.axlut")
+    save_lut(build_lut(parse_multiplier_spec("trunc6k2")), path)
+    assert load_lut(path).truncations is None
 
 
 def _sign_floor_quantize(x, qp):
@@ -188,3 +264,19 @@ def test_quantize_matches_sign_floor_formula(data):
                                      (-2.5, -3), (127.0, 127), (-200.0, -127)])
 def test_quantize_rounds_half_away_from_zero(x, want):
     assert quantize(np.array([x]), QuantParams(scale=1.0, bitwidth=8))[0] == want
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "swapaxes", "0-d", "python float"])
+def test_quantize_leaves_its_input_alone(kind):
+    rng = np.random.default_rng(5)
+    x = {"contiguous": rng.normal(0, 40, size=(3, 4, 5)),
+         "swapaxes": np.swapaxes(rng.normal(0, 40, size=(2, 3, 6, 4)), -1, -2),
+         "0-d": np.array(-2.5),
+         "python float": 127.5}[kind]
+    before = np.array(x).tobytes()
+    qp = QuantParams(scale=0.5, bitwidth=8)
+    got = quantize(x, qp)
+    assert np.array(x).tobytes() == before
+    assert isinstance(got, np.ndarray) and got.dtype == np.int32
+    assert not np.shares_memory(got, x)
+    assert np.array_equal(got, _sign_floor_quantize(x, qp))

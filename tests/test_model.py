@@ -11,6 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import axvit as ax
 from axvit import data as dt
 from axvit.model import (
+    ACTIVATION_ROLES,
+    BATCH,
+    _gelu_tanh,
     attention_forward,
     attn_weight_qparams,
     axx_matmul,
@@ -24,7 +27,7 @@ from axvit.model import (
     softmax,
 )
 from axvit.multipliers import AxMultiplier, build_lut
-from axvit.quant import QuantParams
+from axvit.quant import HistogramCalibrator, QuantParams
 from oracles import gelu_grad_pow, gelu_pow, layer_norm_var, truncated_product
 
 EXACT_LUT = build_lut(AxMultiplier("exact8", 8, "exact"))
@@ -168,6 +171,17 @@ class TestBlocks:
 
     def test_gelu_zero(self):
         assert gelu(0.0) == 0.0
+
+    def test_block_caches_the_gelu_tanh_it_used(self, small_calibrated_model, toy_data):
+        """The backward's derivative from the cached tanh is the one from the
+        GELU input, bit for bit."""
+        model = small_calibrated_model
+        x = ax.model.embed(model, toy_data[0][:6])
+        _, bc = block_forward(model, 0, x, model.block_qps(0), TRUNC2_LUT)
+        h, t = bc["ffn_h"], bc["ffn_t"]
+        assert t.tobytes() == _gelu_tanh(h).tobytes()
+        assert bc["ffn_mid"].tobytes() == gelu(h).tobytes()
+        assert gelu_grad(h, t).tobytes() == gelu_grad(h).tobytes()
 
     def test_layer_norm_normalizes(self):
         x = np.random.default_rng(9).normal(size=(3, 8), loc=4.0, scale=2.0)
@@ -318,6 +332,24 @@ class TestCalibrateAndCheckpoint:
         hi = ax.calibrate(ax.init_model(cfg, seed=5), patches[:64], percentile=100.0)
         for key in lo:
             assert hi[key] >= lo[key] - 1e-12
+
+    def test_calibrate_equals_observing_whole_forward_caches(self, toy_data):
+        """Observing each block as it runs gives the scales of observing the
+        caches of a whole collected forward pass, batch by batch."""
+        patches, _ = toy_data
+        model = ax.init_model(ax.ModelConfig(num_layers=3, embed_dim=16, num_heads=2,
+                                             ffn_dim=32), seed=6)
+        cals = {f"block{i}.{r}": HistogramCalibrator() for i in range(3)
+                for r in ACTIVATION_ROLES}
+        for start in range(0, 150, BATCH):
+            _, cache = ax.vit_forward(model, patches[start:min(start + BATCH, 150)],
+                                      quantized=False, collect=True)
+            for i, bc in enumerate(cache["blocks"]):
+                for r in ACTIVATION_ROLES:
+                    cals[f"block{i}.{r}"].observe(bc[r])
+        got = ax.calibrate(model, patches[:150])
+        for key, cal in cals.items():
+            assert got[key] == cal.compute_scale(8).scale, key
 
     def test_checkpoint_roundtrip(self, small_calibrated_model, tmp_path, toy_data):
         patches, _ = toy_data

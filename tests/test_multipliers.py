@@ -106,7 +106,7 @@ class TestBuildLut:
     def test_entries_outside_int32_raise(self):
         f = np.array([-2, -1, 0, 1 << 16])
         with pytest.raises(ValueError, match=r"\[-131072, 4294967296\], outside the int32"):
-            ProductLut.from_factors(2, f, f)  # 2**16 * 2**16 wraps to 0 in int32
+            ProductLut(2, np.outer(f, f))  # 2**16 * 2**16 wraps to 0 in int32
         for bad in (1 << 31, -(1 << 31) - 1):
             entries = np.zeros((4, 4), dtype=np.int64)
             entries[3, 3] = bad

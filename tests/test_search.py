@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import axvit as ax
+from axvit import model as nn
 from axvit import search as se
 from axvit.multipliers import AxMultiplier, save_lut
 from oracles import (
@@ -357,7 +358,7 @@ def deep(toy_data, tmp_path_factory):
     save_lut(noisy_exact_lut(seed=5), path)
     catalog = ax.builtin_catalog()
     catalog.add(AxMultiplier("ext", 8, "external", lut_path=path, power_mw=0.36))
-    assert catalog.lut("ext").factors is None
+    assert catalog.lut("ext").truncations is None
     return model, catalog, patches[200:350], labels[200:350]
 
 
@@ -514,3 +515,41 @@ class TestPrefixMemo:
         assert got.points == want.points
         assert got.rewards.tobytes() == want.rewards.tobytes()
         assert got.pareto == want.pareto
+
+
+class TestKernelAccounting:
+    """Every quantized block product runs in model.axx_matmul (with a LUT) or
+    model.exact_int_matmul (without one): the kernels a tracer counts MACs at
+    by those two names."""
+
+    @pytest.fixture
+    def macs(self, monkeypatch):
+        counted = {"axx_matmul": 0, "exact_int_matmul": 0}
+        for name in counted:
+            def spy(a, b, *lut, name=name, kernel=getattr(nn, name)):
+                a_shape, b_shape = np.shape(a), np.shape(b)
+                batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+                counted[name] += math.prod(batch) * a_shape[-2] * a_shape[-1] * b_shape[-1]
+                return kernel(a, b, *lut)
+            monkeypatch.setattr(nn, name, spy)
+        return counted
+
+    @pytest.mark.parametrize("assignment", [("mul8s_1L2H", "mul8s_1KV6"), None],
+                             ids=["luts", "no-luts"])
+    def test_vit_forward_passes_every_block_mac(self, macs, small_calibrated_model,
+                                                toy_data, catalog, assignment):
+        model = small_calibrated_model
+        luts = None if assignment is None else [catalog.lut(n) for n in assignment]
+        nn.vit_forward(model, toy_data[0][:70], luts)
+        want = sum(se.transformer_mac_counts(model.cfg)[0]) * 70
+        kernel = "exact_int_matmul" if luts is None else "axx_matmul"
+        assert macs == {"axx_matmul": 0, "exact_int_matmul": 0, kernel: want}
+
+    def test_predict_accuracy_routes_every_block_matmul_through_axx(
+            self, macs, small_calibrated_model, toy_data, catalog):
+        model = small_calibrated_model
+        patches, labels = toy_data
+        se.predict_accuracy(model, ["mul8s_1KV6", "mul8s_1L2L"], catalog,
+                            patches[:70], labels[:70])
+        want = sum(se.transformer_mac_counts(model.cfg)[0]) * 70
+        assert macs == {"axx_matmul": want, "exact_int_matmul": 0}
