@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .multipliers import _truncate
 from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
                     QuantParams, max_scale, quantize)
 
@@ -47,10 +48,6 @@ class ModelConfig:
         if self.embed_dim % self.num_heads:
             raise ValueError("embed_dim must be divisible by num_heads")
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
 
 # ---------------------------------------------------------------------------
 # Integer matmul kernels
@@ -75,15 +72,6 @@ def _to_int32(acc, kernel: str) -> np.ndarray:
     return acc.astype(np.int32)
 
 
-def _truncated(x, k: int) -> np.ndarray:
-    """trunc(x, k) as float64: x with its k LSBs masked, shifted in int32 so
-    that a narrow operand dtype cannot wrap."""
-    if k:
-        x = np.right_shift(x, k, dtype=np.int32)
-        x <<= k
-    return x.astype(np.float64)
-
-
 def axx_matmul(a, b, lut) -> np.ndarray:
     """Integer matmul where each product is an approximate LUT lookup.
 
@@ -106,7 +94,8 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         lut.check(a)
         lut.check(b)
         kx, ky = lut.truncations
-        acc = np.matmul(_truncated(a, kx), _truncated(b, ky))
+        acc = np.matmul(_truncate(a, kx).astype(np.float64),
+                        _truncate(b, ky).astype(np.float64))
     else:
         ea, eb = lut.encode(a), lut.encode(b)
         flat = lut.entries.ravel()
@@ -200,7 +189,7 @@ def linear_forward(x, w, b, qp_x, qp_w, lut):
     return _matmul(x, w, qp_x, qp_w, lut) + b
 
 
-def attention_forward(q, k, v, d_k, qps, lut):
+def attention_forward(q, k, v, qps, lut):
     """Scaled dot-product attention with approximate integer matmuls.
 
     qps: dict with QuantParams for "q", "k", "v" plus "attn" for the softmax
@@ -210,8 +199,9 @@ def attention_forward(q, k, v, d_k, qps, lut):
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ValueError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
     qps = qps or {}
-    scores = _matmul(q, np.swapaxes(k, -1, -2), qps.get("q"), qps.get("k"), lut) / np.sqrt(d_k)
-    att = softmax(scores)
+    # one expression: a named or in-place scaled copy raised peak RSS by 0.6 MB
+    att = softmax(_matmul(q, np.swapaxes(k, -1, -2), qps.get("q"), qps.get("k"), lut)
+                  / np.sqrt(q.shape[-1]))
     return _matmul(att, v, qps.get("attn"), qps.get("v"), lut), att
 
 
@@ -244,10 +234,6 @@ class VitModel:
         self.params = params
         self.scales = scales
         self.bitwidth = bitwidth
-
-    @property
-    def calibrated(self) -> bool:
-        return self.scales is not None
 
     def qparams(self, key: str) -> QuantParams:
         if self.scales is None:
@@ -315,7 +301,7 @@ def block_forward(model: VitModel, i: int, x, qps, lut):
     h, ln1 = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
     q, k, v = (_split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
                for r in "qkv")
-    ctx, att = attention_forward(q, k, v, model.cfg.head_dim, qps, lut)
+    ctx, att = attention_forward(q, k, v, qps, lut)
     ctx = _merge_heads(ctx)
     x = x + linear(ctx, "attn_out", "wo")
     h2, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -328,16 +314,14 @@ def block_forward(model: VitModel, i: int, x, qps, lut):
                "ffn_mid": a}
 
 
-def forward_inputs(model: VitModel, patches, luts=None, quantized=True) -> np.ndarray:
+def forward_inputs(model: VitModel, patches, luts=None) -> np.ndarray:
     """The input checks of a forward pass: returns the patches as float64 after
-    checking their shape, the calibration and the LUT count."""
+    checking their shape and the LUT count (``block_qps`` checks calibration)."""
     cfg = model.cfg
     patches = np.asarray(patches, dtype=np.float64)
     if patches.shape[1:] != (cfg.num_patches, cfg.patch_dim):
         raise ValueError(f"expected patches [N, {cfg.num_patches}, {cfg.patch_dim}], "
                          f"got {patches.shape}")
-    if quantized and not model.calibrated:
-        raise RuntimeError("model is not calibrated; run calibration first")
     if luts is not None and len(luts) != cfg.num_layers:
         raise ValueError(f"need one LUT per transformer block: assignment length "
                          f"{len(luts)} != num_layers {cfg.num_layers}")
@@ -365,7 +349,7 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     when collect is set. The cache holds patches, pooled and, under
     "blocks", each block's ``block_forward`` cache.
     """
-    patches = forward_inputs(model, patches, luts, quantized)
+    patches = forward_inputs(model, patches, luts)
     x = embed(model, patches)
     blocks = []
     for i in range(model.cfg.num_layers):
@@ -379,11 +363,18 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     return logits
 
 
+def check_labels(patches, labels) -> None:
+    """Raises unless labels holds one label per sample of patches."""
+    if np.shape(labels) != np.shape(patches)[:1]:
+        raise ValueError(f"labels of shape {np.shape(labels)} for {len(patches)} samples")
+
+
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
                       catalog=None, batch_limit=None, batch_size=BATCH) -> float:
     """Top-1 accuracy on the (optionally truncated) labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
+    check_labels(patches, labels)
     if batch_limit is not None:
         if batch_limit < 1:
             raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
@@ -410,7 +401,7 @@ def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
             for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
     # the float forward in stages, each block observed as it runs, so that
     # one block's cache is alive at a time, not all L
-    patches = forward_inputs(model, patches, quantized=False)
+    patches = forward_inputs(model, patches)
     for start in range(0, patches.shape[0], BATCH):
         x = embed(model, patches[start:start + BATCH])
         for i in range(model.cfg.num_layers):

@@ -45,21 +45,24 @@ class AxMultiplier:
     def __post_init__(self):
         if self.kind not in KIND_PARAM:
             raise ValueError(f"unknown multiplier kind {self.kind!r}")
+        for attr in ("bitwidth", "k", "r"):
+            if type(getattr(self, attr)) is not int:
+                raise ValueError(f"{attr} must be an integer, got {getattr(self, attr)!r}")
         if not 2 <= self.bitwidth <= 16:
             raise ValueError(f"bitwidth must be in [2, 16], got {self.bitwidth}")
         for param in filter(None, KIND_PARAM.values()):
             value = getattr(self, param)
             if param != KIND_PARAM[self.kind] and value != getattr(AxMultiplier, param):
                 raise ValueError(f"{self.kind} multiplier takes no {param}, got {value!r}")
-        if not 0 <= self.k < self.bitwidth:
-            raise ValueError(f"k must satisfy 0 <= k < bitwidth, got k={self.k}")
-        if not 0 <= self.r < self.bitwidth:
-            raise ValueError(f"r must satisfy 0 <= r < bitwidth, got r={self.r}")
+        for param in ("k", "r"):
+            if not 0 <= getattr(self, param) < self.bitwidth:
+                raise ValueError(f"{param} must satisfy 0 <= {param} < bitwidth, "
+                                 f"got {param}={getattr(self, param)}")
         if self.kind == "external" and not self.lut_path:
             raise ValueError("external multiplier requires lut_path")
         for attr in ("power_mw", "area_um2", "delay_ns"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be >= 0")
+            if not 0 <= getattr(self, attr) < np.inf:
+                raise ValueError(f"{attr} must be finite and >= 0, got {getattr(self, attr)!r}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,13 @@ def _check_range(bitwidth: int, x, what: str):
         raise ValueError(f"{what} out of range [{lo}, {hi}] for {bitwidth}-bit multiplier")
 
 
-def _truncate(v, k):
-    # Masking k LSBs of the two's complement encoding rounds toward -inf.
-    return (v >> k) << k
+def _truncate(v, k: int):
+    """trunc(v, k): v with its k LSBs masked (rounding toward -inf), shifted
+    in int32 so that a narrow operand dtype cannot wrap; v itself at k = 0."""
+    if k:
+        v = np.right_shift(v, k, dtype=np.int32)
+        v <<= k
+    return v
 
 
 def _truncations(m: AxMultiplier) -> tuple[int, int]:
@@ -158,7 +165,8 @@ def _product_array(m: AxMultiplier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         lut = _external_lut(m)
         return lut.entries[lut.encode(x), lut.encode(y)].astype(np.int64)
     kx, ky = _truncations(m)
-    return _truncate(x.astype(np.int64), kx) * _truncate(y.astype(np.int64), ky)
+    return np.multiply(_truncate(x.astype(np.int64), kx), _truncate(y.astype(np.int64), ky),
+                       dtype=np.int64)
 
 
 def _operands(bitwidth: int) -> np.ndarray:

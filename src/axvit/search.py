@@ -66,11 +66,14 @@ class SensitivityTable:
 
 @dataclass
 class MctsNode:
-    depth: int
     assignment: tuple[int, ...]
     visits: int = 0
     total_reward: float = 0.0
     children: list["MctsNode"] | None = None
+
+    @property
+    def depth(self) -> int:
+        return len(self.assignment)
 
     @property
     def mean_reward(self) -> float:
@@ -80,10 +83,14 @@ class MctsNode:
 @dataclass
 class SearchResult:
     points: list[SearchPoint]
-    rewards: np.ndarray
     pareto: list[SearchPoint]
     root: MctsNode
     acu_names: list[str]
+
+    @property
+    def rewards(self) -> np.ndarray:
+        """Each simulation's reward, in simulation order."""
+        return np.array([pt.reward for pt in self.points], dtype=np.float64)
 
     def best_root_action(self) -> str:
         """Most visited root action (diagnostic)."""
@@ -108,15 +115,14 @@ def normalized_power(assignment, mac_counts, catalog: Catalog,
                      baseline_name: str) -> float:
     """Total MAC power relative to running everything on the exact baseline.
 
-    mac_counts has one entry per assignment slot plus, optionally, a final
-    entry for MACs that always run on the baseline multiplier.
+    mac_counts has one entry per assignment slot plus a final entry for the
+    MACs that always run on the baseline multiplier.
     """
-    assignment = list(assignment)
+    assignment = list(assignment) + [baseline_name]
     mac_counts = [float(m) for m in mac_counts]
-    if len(mac_counts) == len(assignment) + 1:
-        assignment.append(baseline_name)
-    elif len(mac_counts) != len(assignment):
-        raise ValueError("mac_counts must match assignment length (+1 for fixed MACs)")
+    if len(mac_counts) != len(assignment):
+        raise ValueError("mac_counts must hold one count per assignment slot "
+                         "plus the fixed MACs")
     base_p = catalog.get(baseline_name).power_mw
     total = sum(mac_counts)
     if total <= 0 or base_p <= 0:
@@ -182,7 +188,8 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
     of the longest prefix of ``assignment`` that it holds are not run again,
     and every block output computed here is stored in it.
     """
-    n = np.asarray(probe_patches).shape[0]
+    nn.check_labels(probe_patches, probe_labels)
+    n = np.shape(probe_patches)[0]
     if n == 0:
         raise ValueError("empty probe batch")
     memo = PrefixMemo() if memo is None else memo
@@ -258,13 +265,10 @@ def ucb_score(mean_reward: float, visits: int, parent_visits: int, c: float) -> 
 
 def rollout_policy_probs(s_col, p_col, lam: float) -> np.ndarray:
     """Softmax of (sensitivity - lambda * power) over the candidate ACUs."""
-    s_col = np.asarray(s_col, dtype=np.float64)
-    p_col = np.asarray(p_col, dtype=np.float64)
-    if s_col.size == 0:
+    z = np.asarray(s_col, dtype=np.float64) - lam * np.asarray(p_col, dtype=np.float64)
+    if z.size == 0:
         raise ValueError("empty candidate set")
-    z = s_col - lam * p_col
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return nn.softmax(z)
 
 
 def mcts_search(num_layers: int, acu_names, params: SearchParams, evaluate_fn,
@@ -297,16 +301,14 @@ def mcts_search(num_layers: int, acu_names, params: SearchParams, evaluate_fn,
             cache[assignment] = hit
         return hit
 
-    root = MctsNode(0, ())
+    root = MctsNode(())
     points: list[SearchPoint] = []
-    rewards = np.empty(params.num_simulations)
-    for sim in range(params.num_simulations):
+    for _ in range(params.num_simulations):
         # selection: best UCB until an unexpanded or terminal node
         node, path = root, [root]
         while node.depth < num_layers:
             if node.children is None:
-                node.children = [MctsNode(node.depth + 1, node.assignment + (a,))
-                                 for a in range(k)]
+                node.children = [MctsNode(node.assignment + (a,)) for a in range(k)]
                 node = node.children[0]
                 path.append(node)
                 break
@@ -328,10 +330,9 @@ def mcts_search(num_layers: int, acu_names, params: SearchParams, evaluate_fn,
         for n in path:
             n.visits += 1
             n.total_reward += reward
-        rewards[sim] = reward
         points.append(SearchPoint(tuple(acu_names[a] for a in assignment),
                                   acc, power, reward))
-    return SearchResult(points, rewards, pareto_front(points), root, acu_names)
+    return SearchResult(points, pareto_front(points), root, acu_names)
 
 
 def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
@@ -342,6 +343,7 @@ def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
     block output is computed once per assignment prefix (while the memo's
     byte bound keeps it); the results equal those of separate forward passes.
     """
+    nn.check_labels(patches, labels)
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
     probe_p = np.asarray(patches)[:params.probe_batch_size]
     probe_l = np.asarray(labels)[:params.probe_batch_size]

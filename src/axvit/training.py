@@ -101,16 +101,16 @@ def linear_backward(dy, x, w, qp_x, qp_w):
     return dx, dw, dy.sum(axis=tuple(range(dy.ndim - 1)))
 
 
-def attention_backward(dout, cache, qps, d_k):
+def attention_backward(dout, cache, qps):
     """STE gradients (dq, dk, dv) of attention_forward through att @ v and
-    softmax(q k^T / sqrt(d_k)). cache holds q, k, v and the softmax weights
-    under attn; qps masks by the same roles (None masks nothing)."""
+    softmax(q k^T / sqrt(q.shape[-1])). cache holds q, k, v and the softmax
+    weights under attn; qps masks by the same roles (None masks nothing)."""
     qps = qps or {}
     att, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
     dv = ste(np.matmul(np.swapaxes(att, -1, -2), dout), v, qps.get("v"))
     datt = ste(np.matmul(dout, np.swapaxes(v, -1, -2)), att, qps.get("attn"))
     dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    inv_sqrt = 1.0 / np.sqrt(d_k)
+    inv_sqrt = 1.0 / np.sqrt(q.shape[-1])
     dq = ste(np.matmul(dscores, k) * inv_sqrt, q, qps.get("q"))
     dk = ste(np.matmul(np.swapaxes(dscores, -1, -2), q) * inv_sqrt, k, qps.get("k"))
     return dq, dk, dv
@@ -147,8 +147,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
         dh = linear(dx, "ffn_mid", "w2") * nn.gelu_grad(bc["ffn_h"], bc["ffn_t"])
         dx = dx + norm(linear(dh, "ffn_in", "w1"), "ln2")
         dctx = linear(dx, "attn_out", "wo")
-        dq, dk, dv = attention_backward(nn._split_heads(dctx, cfg.num_heads), bc, qps,
-                                        cfg.head_dim)
+        dq, dk, dv = attention_backward(nn._split_heads(dctx, cfg.num_heads), bc, qps)
         dh = sum(linear(nn._merge_heads(dt), "attn_in", "w" + r)
                  for r, dt in zip("qkv", (dq, dk, dv)))
         dx = dx + norm(dh, "ln1")
@@ -160,6 +159,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
 
 
 def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
+    nn.check_labels(patches, labels)
     n = patches.shape[0]
     if n == 0:
         raise ValueError("the training set has no samples")
@@ -197,8 +197,6 @@ def finetune(model: nn.VitModel, assignment, patches, labels,
 
     Updates the model in place and returns the per-step loss history.
     """
-    if not model.calibrated:
-        raise RuntimeError("model is not calibrated; run calibration first")
     luts = [catalog.lut(name) for name in assignment]
     return _train_loop(model, patches, labels, hp, luts, quantized=True)
 
@@ -225,7 +223,7 @@ def _toy_attention_forward(x, w, qps, lut):
     qps = qps or {}
     q, k, v = (nn.linear_forward(x, w["w" + r], 0.0, qps.get("attn_in"), qps.get("w" + r), lut)
                for r in "qkv")
-    out, att = nn.attention_forward(q, k, v, x.shape[-1], qps, lut)
+    out, att = nn.attention_forward(q, k, v, qps, lut)
     return out, {"q": q, "k": k, "v": v, "attn": att}
 
 
@@ -257,7 +255,7 @@ def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
         out, cache = _toy_attention_forward(x, w, qps, lut)
         diff = out - target
         losses[it] = float((diff**2).mean())
-        dqkv = attention_backward(2.0 * diff / diff.size, cache, qps, dim)
+        dqkv = attention_backward(2.0 * diff / diff.size, cache, qps)
         for r, dt in zip("qkv", dqkv):
             _, gw, _ = linear_backward(dt, x, w["w" + r], qps["attn_in"], qps["w" + r])
             w["w" + r] -= learning_rate * gw

@@ -1,16 +1,20 @@
-"""The demos and the README library example only use names axvit provides.
+"""The demos and the README examples only use names and flags axvit provides.
 
-Both are parsed, not run: every ``from axvit[.module] import name`` must
+They are parsed, not run: every ``from axvit[.module] import name`` must
 resolve, and so must every ``alias.name`` where ``alias`` is an imported
-axvit module.
+axvit module; every ``axvit ...`` line of README's command-line block must
+parse with the CLI's own parser.
 """
 
 import ast
 import importlib
 import os
 import re
+import shlex
 
 import pytest
+
+from axvit import cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEMOS = sorted(os.path.join(ROOT, "demos", f)
@@ -61,3 +65,23 @@ def test_every_axvit_name_resolves(name):
         mod = importlib.import_module(module)
         if not hasattr(mod, attr):  # a submodule imported by name
             importlib.import_module(f"{module}.{attr}")
+
+
+def _readme_commands():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        section = f.read().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("axvit ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_has_commands():
+    assert README_COMMANDS
+
+
+@pytest.mark.parametrize("line", README_COMMANDS, ids=[l.split()[1] for l in README_COMMANDS])
+def test_readme_command_parses(line):
+    argv = shlex.split(line)[1:]
+    assert cli.build_parser().parse_args(argv).command == argv[0]

@@ -86,6 +86,45 @@ class TestErrorMetrics:
                        "perforate_pp multiplier takes no k, got 2\n")
 
 
+class TestCatalogValues:
+    """A catalog value of the wrong type or not finite ends in one line."""
+
+    def run_with(self, tmp_path, workspace, command, row):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{"name": "m", **row}]))
+        argv = {"eval": ["--model", workspace["ckpt"], "--dataset", workspace["data"],
+                         "--config", "m"],
+                "search": ["--model", workspace["ckpt"], "--dataset", workspace["data"],
+                           "--out", str(tmp_path / "run"), "--sims", "2"],
+                "error-metrics": [],
+                "gen-lut": ["m", "--out", str(tmp_path / "m.axlut")]}[command]
+        assert run(command, "--catalog", str(catalog), *argv) == 1
+        return catalog
+
+    @pytest.mark.parametrize("command", ["eval", "error-metrics", "gen-lut"])
+    @pytest.mark.parametrize("row", [
+        {"bitwidth": 8.0, "kind": "exact"},
+        {"bitwidth": 8, "kind": "truncate_lsb", "k": 2.0},
+        {"bitwidth": 8, "kind": "perforate_pp", "r": 1.0}],
+        ids=["bitwidth", "k", "r"])
+    def test_non_integer_field(self, workspace, tmp_path, capsys, command, row):
+        catalog = self.run_with(tmp_path, workspace, command, row)
+        field = [f for f, v in row.items() if isinstance(v, float)][0]
+        assert capsys.readouterr().err == (f"axvit {command}: {catalog}: entry 0: "
+                       f"{field} must be an integer, got {row[field]!r}\n")
+        assert not (tmp_path / "m.axlut").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "search", "error-metrics"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hardware_figure(self, workspace, tmp_path, capsys, command,
+                                        value):
+        row = {"bitwidth": 8, "kind": "exact", "power_mw": value}
+        catalog = self.run_with(tmp_path, workspace, command, row)
+        assert capsys.readouterr().err == (f"axvit {command}: {catalog}: entry 0: "
+                                           f"power_mw must be finite and >= 0, got {value!r}\n")
+        assert not (tmp_path / "run").exists()
+
+
 class TestCalibrate:
     def test_deterministic_and_monotone(self, workspace, tmp_path):
         s1, s2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")

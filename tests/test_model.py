@@ -104,7 +104,7 @@ class TestBlocks:
         one = np.array([[1.0]])
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        out = float(attention_forward(one, one, one, 1, qps, EXACT_LUT)[0][0, 0])
+        out = float(attention_forward(one, one, one, qps, EXACT_LUT)[0][0, 0])
         # a single score softmaxes to weight 1; output is V through one
         # quantize-dequantize round trip
         assert abs(out - 1.0) <= self.QP.scale
@@ -117,7 +117,7 @@ class TestBlocks:
         v = rng.normal(size=(2, 5, 4))
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        _, att = attention_forward(q, k, v, 4, qps, TRUNC2_LUT)
+        _, att = attention_forward(q, k, v, qps, TRUNC2_LUT)
         assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_attention_close_to_real_reference(self):
@@ -125,7 +125,7 @@ class TestBlocks:
         q, k, v = (rng.normal(size=(2, 4)) for _ in range(3))
         qps = {"q": self.QP, "k": self.QP, "v": self.QP,
                "attn": attn_weight_qparams(8)}
-        approx, _ = attention_forward(q, k, v, 4, qps, EXACT_LUT)
+        approx, _ = attention_forward(q, k, v, qps, EXACT_LUT)
         real = softmax((q @ k.T) / 2.0) @ v
         assert np.abs(approx - real).max() < 0.1
 
@@ -300,6 +300,14 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError, match="empty"):
             ax.evaluate_accuracy(small_calibrated_model,
                                  np.zeros((0, 16, 16)), np.zeros(0, int))
+
+    @pytest.mark.parametrize("batch_limit", [None, 32])
+    def test_label_count_mismatch(self, small_calibrated_model, toy_data, catalog,
+                                  batch_limit):
+        patches, labels = toy_data
+        with pytest.raises(ValueError, match=r"labels of shape \(200,\) for 64 samples"):
+            ax.evaluate_accuracy(small_calibrated_model, patches[:64], labels[:200],
+                                 ["mul8s_1KV6"] * 2, catalog, batch_limit=batch_limit)
 
     def test_batch_limit(self, small_calibrated_model, toy_data, catalog):
         patches, labels = toy_data

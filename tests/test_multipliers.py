@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -303,6 +304,20 @@ class TestValidation:
             AxMultiplier("m", 1, "exact")
         with pytest.raises(ValueError):
             AxMultiplier("m", 8, "exact", power_mw=-0.1)
+
+    @pytest.mark.parametrize("field", ["bitwidth", "k", "r"])
+    @pytest.mark.parametrize("value", [2.0, True, np.int64(2), "2"])
+    def test_integer_fields_must_be_int(self, field, value):
+        kind = {"bitwidth": "exact", "k": "truncate_lsb", "r": "perforate_pp"}[field]
+        fields = {"bitwidth": 8, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AxMultiplier("m", kind=kind, **fields)
+
+    @pytest.mark.parametrize("field", ["power_mw", "area_um2", "delay_ns"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+    def test_hardware_figures_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            AxMultiplier("m", 8, **{field: value})
 
     @pytest.mark.parametrize("kind,param", [
         ("perforate_pp", {"k": 2}), ("truncate_lsb", {"r": 3}),

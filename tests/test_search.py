@@ -86,9 +86,10 @@ class TestPowerModel:
         assert fixed == t * cfg.patch_dim * d + d * cfg.num_classes
 
     def test_mac_count_mismatch_rejected(self, catalog):
-        with pytest.raises(ValueError):
-            se.normalized_power(["mul8s_1KV6"], [1.0, 1.0, 1.0], catalog,
-                                "mul8s_1KV6")
+        # one count per slot without the fixed count is rejected too
+        for mac_counts in ([1.0, 1.0, 1.0], [1.0]):
+            with pytest.raises(ValueError, match="fixed MACs"):
+                se.normalized_power(["mul8s_1KV6"], mac_counts, catalog, "mul8s_1KV6")
 
     def test_cheaper_multiplier_lowers_power(self, catalog):
         cfg = ax.ModelConfig()
@@ -339,6 +340,16 @@ class TestSensitivityAndSurrogate:
         full = ax.evaluate_accuracy(small_calibrated_model, probe_p, probe_l,
                                     config, catalog)
         assert surrogate == full
+
+    def test_label_count_mismatch(self, small_calibrated_model, toy_data, catalog):
+        patches, labels = toy_data
+        match = r"labels of shape \(1,\) for 64 samples"
+        with pytest.raises(ValueError, match=match):
+            se.predict_accuracy(small_calibrated_model, ["mul8s_1KV6"] * 2, catalog,
+                                patches[:64], labels[:1])
+        with pytest.raises(ValueError, match=match):
+            se.search_model(small_calibrated_model, catalog, patches[:64], labels[:1],
+                            se.SearchParams(num_simulations=2, probe_batch_size=32))
 
     def test_empty_probe_rejected(self, small_calibrated_model, catalog):
         with pytest.raises(ValueError, match="empty"):

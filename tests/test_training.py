@@ -74,6 +74,19 @@ class TestFinetune:
             ax.finetune(small_model(), ["mul8s_1L2H"], patches[:32], labels[:32],
                         hp, catalog)
 
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["train_float", "finetune"])
+    def test_label_count_mismatch(self, toy_data, catalog, calibrated):
+        patches, labels = toy_data
+        model = small_model()
+        hp = ax.TrainHyperparams(iterations=2, batch_size=100, data_fraction=1.0)
+        if calibrated:
+            ax.calibrate(model, patches[:64])
+        with pytest.raises(ValueError, match=r"labels of shape \(50,\) for 100 samples"):
+            if calibrated:
+                ax.finetune(model, ["mul8s_1L2H"], patches[:100], labels[:50], hp, catalog)
+            else:
+                tr.train_float(model, patches[:100], labels[:50], hp)
+
     def test_deterministic_given_seed(self, toy_data, catalog):
         patches, labels = toy_data
         runs = []
