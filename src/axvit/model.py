@@ -144,8 +144,10 @@ def attn_weight_qparams(bitwidth: int) -> QuantParams:
 # ---------------------------------------------------------------------------
 
 def softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -154,13 +156,23 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def _gelu_tanh(x):
     """tanh(sqrt(2/pi) * (x + 0.044715 x^3)), the cube as two products:
     numpy's general power loop is about a hundred times slower, and its
-    last bit depends on the CPU's SIMD dispatch."""
-    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    last bit depends on the CPU's SIMD dispatch. The tanh runs in place on
+    the new array."""
+    u = _GELU_C * (x + 0.044715 * (x * x * x))
+    return np.tanh(u, out=u) if isinstance(u, np.ndarray) else np.tanh(u)
 
 
 def gelu(x, t=None):
-    """tanh-approximation GELU; t, when given, is ``_gelu_tanh(x)``."""
-    return 0.5 * x * (1.0 + (_gelu_tanh(x) if t is None else t))
+    """tanh-approximation GELU, ``0.5 * x * (1 + t)``; t, when given, is
+    ``_gelu_tanh(x)`` and is only read. Without t the tanh term is computed
+    here and the result is formed in its array."""
+    if t is None:
+        y = _gelu_tanh(x)
+        y += 1.0
+    else:
+        y = 1.0 + t
+    # (0.5 * x) stays the first factor: a product of two NaNs keeps its payload
+    return np.multiply(0.5 * x, y, out=y if isinstance(y, np.ndarray) else None)
 
 
 def gelu_grad(x, t=None):
@@ -186,7 +198,9 @@ def layer_norm(x, g, b):
 def linear_forward(x, w, b, qp_x, qp_w, lut):
     """x @ w + b, the matmul on quantized operands through the LUT; in real
     arithmetic when neither scales nor a LUT are given."""
-    return _matmul(x, w, qp_x, qp_w, lut) + b
+    y = _matmul(x, w, qp_x, qp_w, lut)
+    y += b  # y is the matmul's own new array
+    return y
 
 
 def attention_forward(q, k, v, qps, lut):
@@ -279,39 +293,54 @@ def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
     return VitModel(cfg, params, bitwidth=bitwidth)
 
 
-def block_forward(model: VitModel, i: int, x, qps, lut):
+def block_forward(model: VitModel, i: int, x, qps, lut, collect=False):
     """Pre-norm transformer block i: y = x + MHA(LN1(x)), out = y + FFN(LN2(y)).
 
     qps: the block's QuantParams (``model.block_qps(i)``), or None for real
     arithmetic; lut: its ProductLut, or None for the exact integer reference.
-    Returns the block output and its cache: the tensor each activation
+    x is only read, never written. Returns the block output, or (output,
+    cache) when collect is set. The cache holds the tensor each activation
     quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
     heads), plus the softmax weights (attn), the GELU input (ffn_h), its
     tanh term (ffn_t, which the backward reuses) and the LayerNorm caches
-    (ln1, ln2).
+    (ln1, ln2). Intermediates live only when collected: otherwise each one is
+    freed at its last use, so a block holds a few activations at a time.
     """
     p = model.params
     pre = f"block{i}."
     qps = qps or {}
+    cache = {}
+    keep = cache.update if collect else lambda **_: None
 
     def linear(t, role_x, role_w):
         return linear_forward(t, p[pre + role_w], p[pre + "b" + role_w[1:]],
                               qps.get(role_x), qps.get(role_w), lut)
 
     h, ln1 = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+    keep(ln1=ln1, attn_in=h)
+    del ln1
     q, k, v = (_split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
                for r in "qkv")
+    del h
     ctx, att = attention_forward(q, k, v, qps, lut)
+    keep(q=q, k=k, v=v, attn=att)
+    del q, k, v, att
     ctx = _merge_heads(ctx)
-    x = x + linear(ctx, "attn_out", "wo")
-    h2, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-    hf = linear(h2, "ffn_in", "w1")
-    t = _gelu_tanh(hf)
+    x = x + linear(ctx, "attn_out", "wo")  # a new array: the input stays as it was
+    keep(attn_out=ctx)
+    del ctx
+    h, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+    keep(ln2=ln2, ffn_in=h)
+    del ln2
+    hf = linear(h, "ffn_in", "w1")
+    del h
+    t = _gelu_tanh(hf) if collect else None  # lean: gelu's own tanh, formed in place
+    keep(ffn_h=hf, ffn_t=t)
     a = gelu(hf, t)
-    x = x + linear(a, "ffn_mid", "w2")
-    return x, {"ln1": ln1, "attn_in": h, "q": q, "k": k, "v": v, "attn": att,
-               "attn_out": ctx, "ln2": ln2, "ffn_in": h2, "ffn_h": hf, "ffn_t": t,
-               "ffn_mid": a}
+    del hf, t
+    keep(ffn_mid=a)
+    x += linear(a, "ffn_mid", "w2")
+    return (x, cache) if collect else x
 
 
 def forward_inputs(model: VitModel, patches, luts=None) -> np.ndarray:
@@ -354,9 +383,12 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     blocks = []
     for i in range(model.cfg.num_layers):
         lut = luts[i] if (quantized and luts is not None) else None
-        x, bc = block_forward(model, i, x, model.block_qps(i) if quantized else None, lut)
+        qps = model.block_qps(i) if quantized else None
         if collect:
+            x, bc = block_forward(model, i, x, qps, lut, collect=True)
             blocks.append(bc)
+        else:
+            x = block_forward(model, i, x, qps, lut)
     logits, pooled = pool_head(model, x)
     if collect:
         return logits, {"patches": patches, "blocks": blocks, "pooled": pooled}
@@ -405,7 +437,7 @@ def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
     for start in range(0, patches.shape[0], BATCH):
         x = embed(model, patches[start:start + BATCH])
         for i in range(model.cfg.num_layers):
-            x, bc = block_forward(model, i, x, None, None)
+            x, bc = block_forward(model, i, x, None, None, collect=True)
             for role in ACTIVATION_ROLES:
                 cals[f"block{i}.{role}"].observe(bc[role])
     model.scales = {key: cal.compute_scale(model.bitwidth).scale for key, cal in cals.items()}

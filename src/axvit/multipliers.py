@@ -130,6 +130,9 @@ class ProductLut:
 def _check_range(bitwidth: int, x, what: str):
     lo, hi = signed_range(bitwidth)
     arr = np.asarray(x)
+    # by dtype, not by value: a float operand would be cast toward zero
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
     if arr.size and (arr.min() < lo or arr.max() > hi):
         raise ValueError(f"{what} out of range [{lo}, {hi}] for {bitwidth}-bit multiplier")
 

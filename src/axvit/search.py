@@ -202,7 +202,7 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
         memo.store((), xs)
     for i in range(done, len(assignment)):
         qps = model.block_qps(i)
-        xs = [nn.block_forward(model, i, x, qps, luts[i])[0] for x in xs]
+        xs = [nn.block_forward(model, i, x, qps, luts[i]) for x in xs]
         memo.store(assignment[:i + 1], xs)
     labels = np.asarray(probe_labels)
     correct = sum(int((nn.pool_head(model, x)[0].argmax(axis=1)

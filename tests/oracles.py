@@ -149,6 +149,41 @@ def layer_norm_var(x, g, b):
     return g * xhat + b, xhat, inv
 
 
+def softmax_out_of_place(x):
+    """Softmax over the last axis, each step into a new array."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def gelu_out_of_place(x):
+    """tanh GELU as one expression, the cube as two products."""
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+
+
+def block_out_of_place(model, i, x, qps, lut):
+    """Transformer block i with every add, softmax and GELU step out of place
+    and every intermediate kept to the end. The quantized matmul and
+    LayerNorm are the package's own; the rest is written out here."""
+    from axvit import model as nn
+
+    p, pre, qps = model.params, f"block{i}.", qps or {}
+
+    def linear(t, role_x, role_w):
+        return nn._matmul(t, p[pre + role_w], qps.get(role_x), qps.get(role_w),
+                          lut) + p[pre + "b" + role_w[1:]]
+
+    h, _ = nn.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+    q, k, v = (nn._split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
+               for r in "qkv")
+    att = softmax_out_of_place(nn._matmul(q, np.swapaxes(k, -1, -2), qps.get("q"),
+                                          qps.get("k"), lut) / np.sqrt(q.shape[-1]))
+    ctx = nn._matmul(att, v, qps.get("attn"), qps.get("v"), lut)
+    y = x + linear(nn._merge_heads(ctx), "attn_out", "wo")
+    h2, _ = nn.layer_norm(y, p[pre + "ln2.g"], p[pre + "ln2.b"])
+    hf = linear(h2, "ffn_in", "w1")
+    return y + linear(gelu_out_of_place(hf), "ffn_mid", "w2")
+
+
 def probe_blocks(model, assignment, catalog, patches, batch=64):
     """Fresh forward passes over the probe, `batch` samples at a time, as
     evaluate_accuracy runs them: per chunk, the embedded input and each
@@ -163,7 +198,7 @@ def probe_blocks(model, assignment, catalog, patches, batch=64):
         x = patches[start:start + batch] @ model.params["embed.w"] + model.params["embed.b"]
         xs = [x]
         for i, lut in enumerate(luts):
-            x = block_forward(model, i, x, model.block_qps(i), lut)[0]
+            x = block_forward(model, i, x, model.block_qps(i), lut)
             xs.append(x)
         chunks.append(xs)
     return chunks

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from axvit.model import axx_matmul, evaluate_accuracy, vit_forward
 from axvit.multipliers import (MAX_LUT_BITWIDTH, AxMultiplier, Catalog, ProductLut,
-                               build_lut, builtin_catalog, load_lut, lut_lookup,
+                               approx_product, approx_products, build_lut,
+                               builtin_catalog, load_lut, lut_lookup,
                                parse_multiplier_spec, save_lut)
 from axvit.quant import QuantParams, quantize
 from oracles import gather_matmul, perforated_product, truncated_product
@@ -84,6 +85,29 @@ def test_out_of_range_uint8_operand_raises():
         axx_matmul(ones, np.full((2, 2), 128, dtype=np.uint8), lut)
     with pytest.raises(ValueError, match="out of range"):
         lut_lookup(lut, np.uint8(128), np.uint8(1))
+
+
+EXACT8 = parse_multiplier_spec("exact8")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: approx_products(EXACT8, [0.9, -1.7], 3), "operand x must be integers, got float64"),
+    (lambda: approx_products(EXACT8, 3, np.float32([0.5])),
+     "operand y must be integers, got float32"),
+    (lambda: approx_product(EXACT8, 1.5, 2), "operand x must be integers, got float64"),
+    (lambda: lut_lookup(SPEC_LUTS["exact8"], 1.5, 2), "operand must be integers, got float64"),
+    (lambda: lut_lookup(SPEC_LUTS["exact8"], 2, True), "operand must be integers, got bool"),
+    (lambda: axx_matmul([[1.5]], [[2]], SPEC_LUTS["exact8"]),
+     "operand must be integers, got float64"),
+    (lambda: axx_matmul([[2]], [[1.5]], noisy_exact_lut(seed=1)),
+     "operand must be integers, got float64"),
+], ids=["products-x", "products-y", "product", "lookup", "lookup-bool", "closed-form",
+        "gather"])
+def test_non_integer_operands_raise(call, message):
+    """Functional mode, lookup and both matmul kernels reject a float operand
+    by its dtype, instead of casting it toward zero or failing inside numpy."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])

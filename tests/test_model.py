@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from axvit.model import (
     refresh_weight_scales,
     softmax,
 )
-from axvit.multipliers import AxMultiplier, build_lut
+from axvit.multipliers import AxMultiplier, ProductLut, build_lut
 from axvit.quant import HistogramCalibrator, QuantParams
-from oracles import gelu_grad_pow, gelu_pow, layer_norm_var, truncated_product
+from oracles import (block_out_of_place, gelu_grad_pow, gelu_out_of_place, gelu_pow,
+                     layer_norm_var, softmax_out_of_place, truncated_product)
 
 EXACT_LUT = build_lut(AxMultiplier("exact8", 8, "exact"))
 TRUNC2_LUT = build_lut(AxMultiplier("trunc8k2", 8, "truncate_lsb", k=2))
@@ -144,10 +146,10 @@ class TestBlocks:
         for name in ("w1", "b1", "w2", "b2"):  # the block is x + MHA(LN1(x))
             p["block0." + name][...] = 0.0
         x = rng.normal(size=(3, 5, 4), scale=0.3)
-        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT)
+        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT, collect=True)
         assert out.shape == x.shape
         assert bc["q"].shape == (3, 2, 5, 2) and bc["attn"].shape == (3, 2, 5, 5)
-        real, _ = block_forward(model, 0, x, None, None)
+        real = block_forward(model, 0, x, None, None)
         assert np.abs(out - real).max() < 0.2
         # the real path against per-head attention written out
         h, _ = layer_norm(x, p["block0.ln1.g"], p["block0.ln1.b"])
@@ -165,7 +167,7 @@ class TestBlocks:
         b2 = model.params["block0.b2"]
         b2[:] = [1.0, -2.0, 0.5, 0.0]
         x = np.random.default_rng(8).normal(size=(2, 5, 4))
-        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT)
+        out, bc = block_forward(model, 0, x, model.block_qps(0), EXACT_LUT, collect=True)
         assert np.allclose(out, x + b2)
         assert not bc["ffn_h"].any() and not bc["attn_out"].any()
 
@@ -177,7 +179,7 @@ class TestBlocks:
         GELU input, bit for bit."""
         model = small_calibrated_model
         x = ax.model.embed(model, toy_data[0][:6])
-        _, bc = block_forward(model, 0, x, model.block_qps(0), TRUNC2_LUT)
+        _, bc = block_forward(model, 0, x, model.block_qps(0), TRUNC2_LUT, collect=True)
         h, t = bc["ffn_h"], bc["ffn_t"]
         assert t.tobytes() == _gelu_tanh(h).tobytes()
         assert bc["ffn_mid"].tobytes() == gelu(h).tobytes()
@@ -206,6 +208,20 @@ class TestBlocks:
             assert np.all(np.abs(new[finite] - old[finite]) <= bound[finite])
             assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=20),
+                  elements=st.floats()))
+    @example(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5.7e102, 1e154, 1.5e154,
+                       -1e308, np.finfo(np.float64).max, 5e-324, -5e-324]))
+    def test_in_place_softmax_and_gelu_bit_identical_to_out_of_place(self, x):
+        """Steps done in place on the functions' own new arrays give the bits
+        of the out-of-place expressions, non-finite values included."""
+        with np.errstate(all="ignore"):
+            pairs = [(softmax(x), softmax_out_of_place(x)), (gelu(x), gelu_out_of_place(x)),
+                     (gelu(x, _gelu_tanh(x)), gelu_out_of_place(x))]
+        for got, want in pairs:
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=40),
                     elements=st.floats(-1e6, 1e6)),
@@ -222,6 +238,76 @@ class TestBlocks:
         for got, want in zip((y, xhat, inv), wants):
             assert got.shape == want.shape
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# each kernel a block can run: closed form, gather, int64 reference, float
+BLOCK_LUTS = {
+    "exact": EXACT_LUT,
+    "truncating": TRUNC2_LUT,
+    "perforated": build_lut(AxMultiplier("perf8r2", 8, "perforate_pp", r=2)),
+    "external": ProductLut(8, TRUNC2_LUT.entries),  # given by entries: gathered
+    "int-reference": None,
+    "float": None,
+}
+
+
+class TestLeanBlock:
+    """block_forward keeps its intermediates only when collect is set; the
+    output does not depend on it."""
+
+    @pytest.mark.parametrize("path", BLOCK_LUTS)
+    @settings(max_examples=8, deadline=None)
+    @given(batch=st.integers(1, 2 * BATCH + 3), start=st.integers(0, 1000))
+    def test_lean_equals_collected_and_out_of_place(self, small_calibrated_model, toy_data,
+                                                     path, batch, start):
+        model = small_calibrated_model
+        x = ax.model.embed(model, toy_data[0][start:start + batch])
+        qps = None if path == "float" else model.block_qps(1)
+        lut = BLOCK_LUTS[path]
+        lean = block_forward(model, 1, x, qps, lut)
+        full, cache = block_forward(model, 1, x, qps, lut, collect=True)
+        want = block_out_of_place(model, 1, x, qps, lut)
+        assert lean.tobytes() == full.tobytes() == want.tobytes()
+        assert set(cache) == set(ACTIVATION_ROLES) | {"attn", "ffn_h", "ffn_t", "ln1", "ln2"}
+
+    @pytest.mark.parametrize("path", BLOCK_LUTS)
+    def test_read_only_input_is_left_unchanged(self, small_calibrated_model, toy_data, path):
+        model = small_calibrated_model
+        x = ax.model.embed(model, toy_data[0][:5])
+        before = x.tobytes()
+        x.flags.writeable = False
+        qps = None if path == "float" else model.block_qps(0)
+        lean = block_forward(model, 0, x, qps, BLOCK_LUTS[path])
+        full, _ = block_forward(model, 0, x, qps, BLOCK_LUTS[path], collect=True)
+        assert x.tobytes() == before
+        assert lean.tobytes() == full.tobytes()
+        assert lean.flags.writeable and not np.shares_memory(lean, x)
+
+    def test_lean_block_peak_is_at_most_half_the_collected(self, toy_data):
+        """On the default config at a batch of BATCH, the lean block's traced
+        peak is at most half the collecting one's, and once it returns it
+        holds only its output (buffer plus a small array header)."""
+        model = ax.init_model(ax.ModelConfig(), seed=0)
+        ax.calibrate(model, toy_data[0][:BATCH])
+        x = ax.model.embed(model, toy_data[0][:BATCH])
+        qps = model.block_qps(0)
+
+        def traced(collect):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = block_forward(model, 0, x, qps, EXACT_LUT, collect=collect)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return out, held - base, peak - base
+
+        traced(False)  # anything set up lazily on a first call
+        lean, lean_held, lean_peak = traced(False)
+        (_, cache), full_held, full_peak = traced(True)
+        assert lean_peak <= full_peak / 2
+        assert lean.nbytes <= lean_held <= lean.nbytes + 1024
+        assert full_held > lean.nbytes + sum(a.nbytes for a in (cache["ffn_h"], cache["ffn_t"]))
 
 
 class TestVitForward:
