@@ -4,7 +4,8 @@ Every matrix multiply inside multi-head attention and the FFN runs on
 quantized operands, and each scalar product is the one a product LUT holds
 (or the exact one when no LUT is given). A behavioral multiplier's product
 is computed in closed form from its operand truncations; any other table is
-gathered. Softmax, LayerNorm, GELU, residual adds, the patch embedding and
+gathered, row by row of the weight operand when enough rows of the other
+share it. Softmax, LayerNorm, GELU, residual adds, the patch embedding and
 the classifier head stay in real arithmetic.
 """
 
@@ -27,7 +28,7 @@ CHECKPOINT_VERSION = 2
 
 _INT32_MAX = np.int64(2**31 - 1)
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
-_GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the general kernel
+_GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the step gather
 _LN_EPS = 1e-5
 BATCH = 64  # samples per forward pass in evaluation and calibration
 
@@ -82,10 +83,22 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     gives every exact, truncating and perforating multiplier) runs in closed
     form: one float64 matmul of the truncated operands,
     ``trunc(a, kx) @ trunc(b, ky)``, which is exact while every partial sum
-    stays below 2**53. Any other table is gathered one inner index at a
-    time, so temporaries stay the size of the output (or a few thousand
-    entries, whichever is larger). No sum can leave int32 while
-    ``depth * lut.max_abs`` fits it; past that, the accumulator is scanned.
+    stays below 2**53. Any other table is gathered one inner index ``t`` at
+    a time, by one of two kernels:
+
+    - row gather, when ``b`` is one matrix (2-D) shared by at least
+      ``2**lut.bitwidth`` rows of ``a``: ``T[:, b[t]]`` holds the products of
+      ``b``'s row ``t`` with every operand value, and each row of ``a`` picks
+      its own. That slice has no more entries than the step gather would look
+      up, and no table of every weight's products is ever built;
+    - step gather otherwise (batched ``b``, such as attention scores, or
+      fewer rows): each step looks up ``T[a[..., t], b[t]]`` directly, so
+      temporaries stay the size of the output (or a few thousand entries,
+      whichever is larger).
+
+    No sum can leave int32 while ``depth * lut.max_abs`` fits it, so the row
+    gather then accumulates in int32; past that, an int64 accumulator is
+    scanned.
     """
     a, b = _check_matmul_shapes(a, b)
     depth = a.shape[-1]
@@ -96,6 +109,12 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         kx, ky = lut.truncations
         acc = np.matmul(_truncate(a, kx).astype(np.float64),
                         _truncate(b, ky).astype(np.float64))
+    elif b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
+        ea, eb = lut.encode(a), lut.encode(b)
+        acc = np.zeros(a.shape[:-1] + b.shape[-1:],
+                       dtype=np.int32 if bound <= _INT32_MAX else np.int64)
+        for t in range(depth):
+            acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
     else:
         ea, eb = lut.encode(a), lut.encode(b)
         flat = lut.entries.ravel()
@@ -109,7 +128,7 @@ def axx_matmul(a, b, lut) -> np.ndarray:
             part = flat.take(rows[..., :, t:t + step, None] + eb[..., None, t:t + step, :])
             acc += part[..., 0, :] if step == 1 else part.sum(axis=-2, dtype=np.int64)
     if bound <= _INT32_MAX:
-        return acc.astype(np.int32)
+        return acc.astype(np.int32, copy=False)
     return _to_int32(acc, "axx_matmul")
 
 

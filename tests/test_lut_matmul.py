@@ -3,6 +3,8 @@ and the bit-level product oracles, and of the quantizer against its original
 sign/floor formula."""
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +76,111 @@ def test_axx_matmul_equals_gather_oracle(lut, data):
     assert got.dtype == np.int32
     assert got.shape == shapes.result_shape
     assert np.array_equal(got, gather_matmul(a, b, lut.entries))
+
+
+@st.composite
+def row_counts_and_shapes(draw, bitwidth):
+    """The shape of ``a`` with 2**b - 1, 2**b or more rows in all, split
+    over an optional leading dim; zero rows and zero depth included."""
+    n = 1 << bitwidth
+    rows = draw(st.one_of(st.sampled_from((0, n - 1, n)), st.integers(n + 1, 3 * n)))
+    depth = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        # zero rows split as (lead, 0)
+        divisors = [d for d in range(1, rows + 1) if rows % d == 0] or [1, 2, 3]
+        lead = draw(st.sampled_from(divisors))
+        return (lead, rows // lead, depth)
+    return (rows, depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lut=general_luts(), data=st.data())
+def test_row_gather_equals_gather_oracle(lut, data):
+    # one 2-D b shared by around 2**b rows of a: the row gather runs from
+    # 2**b rows on, the step gather below
+    a_shape = data.draw(row_counts_and_shapes(lut.bitwidth))
+    b_shape = (a_shape[-1], data.draw(st.integers(0, 6)))
+    dtype = data.draw(st.sampled_from((np.int32, np.int8, np.int16, np.uint8)))
+    lo, hi = -(1 << (lut.bitwidth - 1)), (1 << (lut.bitwidth - 1)) - 1
+    lo = max(lo, np.iinfo(dtype).min)
+    a = data.draw(hnp.arrays(dtype, a_shape, elements=st.integers(lo, hi)))
+    b = data.draw(hnp.arrays(dtype, b_shape, elements=st.integers(lo, hi)))
+    got = axx_matmul(a, b, lut)
+    assert got.dtype == np.int32
+    assert got.shape == a_shape[:-1] + b_shape[-1:]
+    assert np.array_equal(got, gather_matmul(a, b, lut.entries))
+
+
+@pytest.mark.parametrize("a_shape, n", [((16, 0), 3), ((2, 8, 0), 3), ((0, 4), 3),
+                                        ((3, 0, 4), 3), ((16, 4), 0)],
+                         ids=["depth0", "lead-depth0", "rows0", "lead-rows0", "cols0"])
+def test_row_gather_empty_operands(a_shape, n):
+    lut = noisy_exact_lut(seed=2, bitwidth=2)
+    a = np.ones(a_shape, dtype=np.int8)
+    b = np.ones(a_shape[-1:] + (n,), dtype=np.int8)
+    got = axx_matmul(a, b, lut)
+    assert got.dtype == np.int32 and got.shape == a_shape[:-1] + (n,)
+    assert np.array_equal(got, gather_matmul(a, b, lut.entries))
+
+
+# (a, b) shapes of the weight matmuls in the benchmark's search model (probe
+# batch 16, L=6, d=16, ffn 32) and finetune model (batch 32, d=32, ffn 64)
+SEARCH_SHAPES = [((16, 16, 16), (16, 16)), ((16, 16, 16), (16, 32)),
+                 ((16, 16, 32), (32, 16))]
+FINETUNE_SHAPES = [((32, 16, 32), (32, 32)), ((32, 16, 32), (32, 64)),
+                   ((32, 16, 64), (64, 32))]
+
+
+@pytest.mark.parametrize("a_shape, b_shape", SEARCH_SHAPES + FINETUNE_SHAPES,
+                         ids=[f"{w}-{math.prod(a[:-1])}x{a[-1]}x{b[-1]}"
+                              for w, shapes in (("search", SEARCH_SHAPES),
+                                                ("finetune", FINETUNE_SHAPES))
+                              for a, b in shapes])
+def test_row_gather_at_benchmark_shapes(a_shape, b_shape):
+    lut = noisy_exact_lut(seed=5)
+    rng = np.random.default_rng(6)
+    a = rng.integers(-128, 128, size=a_shape, dtype=np.int32)
+    b = rng.integers(-128, 128, size=b_shape, dtype=np.int32)
+    assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((32, 2, 16, 16), (32, 2, 16, 16)),  # finetune: q @ k^T and attn @ v per head
+    ((16, 2, 16, 8), (16, 2, 8, 16)),    # search: q @ k^T
+    ((16, 2, 16, 16), (16, 2, 16, 8)),   # search: attn @ v
+    ((512, 32), (1, 32, 64)),            # one weight given with a leading dim
+], ids=["finetune-attention", "search-scores", "search-attn-v", "b-leading-1"])
+def test_batched_b_runs_the_step_gather(a_shape, b_shape):
+    lut = noisy_exact_lut(seed=7)
+    rng = np.random.default_rng(8)
+    a = rng.integers(-128, 128, size=a_shape, dtype=np.int32)
+    b = rng.integers(-128, 128, size=b_shape, dtype=np.int32)
+    assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_row_gather_peak_memory_is_half_the_step_gather():
+    # no 2**b * K * N table of weight products is built: at 512x32 @ 32x64
+    # the row gather's temporaries are the int32 accumulator and one slice
+    lut = noisy_exact_lut(seed=9)
+    rng = np.random.default_rng(10)
+    a = rng.integers(-128, 128, size=(512, 32), dtype=np.int32)
+    b = rng.integers(-128, 128, size=(32, 64), dtype=np.int32)
+    _peak_bytes(lambda: axx_matmul(a, b, lut))  # anything set up lazily
+    rows, rows_peak = _peak_bytes(lambda: axx_matmul(a, b, lut))
+    steps, steps_peak = _peak_bytes(lambda: axx_matmul(a, b[None], lut))
+    assert np.array_equal(rows, steps[0])
+    assert rows_peak <= steps_peak / 2
 
 
 def test_out_of_range_uint8_operand_raises():
@@ -181,6 +288,30 @@ def test_accumulator_overflow_past_the_static_bound(lut):
     want = gather_matmul(a, b, lut.entries)
     assert abs(int(want[0, 0])) < 2**31 and depth * lut.max_abs > 2**31
     assert axx_matmul(a, b, lut).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("b_lead", [(), (1,)], ids=["row-gather", "step-gather"])
+def test_int64_accumulator_past_the_static_bound(b_lead):
+    # |T| = 2**31 at (-2, -2), so any depth is past the static int32 bound.
+    # a has at least 2**2 rows, so a 2-D b runs the row gather and b[None]
+    # the step gather. Two products of -2**31 sum past int32 (an int32
+    # accumulator would wrap them to 0); mixed signs pass int32 partway
+    # through the sum and end inside it
+    entries = np.zeros((4, 4), dtype=np.int64)
+    entries[0, 0], entries[3, 3] = -(1 << 31), (1 << 31) - 1
+    entries[1, 2], entries[2, 1] = 5, -3
+    lut = ProductLut(2, entries)
+    a = np.full((4, 2), -2, dtype=np.int8)
+    with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+        axx_matmul(a, np.full(b_lead + (2, 3), -2, dtype=np.int8), lut)
+    a = np.array([[1, 1, -2, -2, 0, 1], [-2, 1, -2, 1, 0, 0],
+                  [1, 1, 1, -2, -2, -2], [0, 0, 0, 0, 0, 0],
+                  [-1, 0, -1, 0, -1, 0]], dtype=np.int8)
+    b = np.stack([a[0], a[1], -np.ones(6, dtype=np.int8), a[3]], axis=1)
+    partial = np.cumsum(lut.entries[a[:, :, None] + 2, b[None] + 2], axis=1, dtype=np.int64)
+    assert np.abs(partial).max() > 2**31 and np.abs(partial[:, -1]).max() < 2**31
+    b = b.reshape(b_lead + b.shape)
+    assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
 
 
 BEHAVIORAL_SPECS = tuple(
