@@ -28,7 +28,6 @@ CHECKPOINT_VERSION = 2
 
 _INT32_MAX = np.int64(2**31 - 1)
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
-_GATHER_STEP_ELEMENTS = 4096  # LUT entries gathered per step of the step gather
 _LN_EPS = 1e-5
 BATCH = 64  # samples per forward pass in evaluation and calibration
 
@@ -84,21 +83,19 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     form: one float64 matmul of the truncated operands,
     ``trunc(a, kx) @ trunc(b, ky)``, which is exact while every partial sum
     stays below 2**53. Any other table is gathered one inner index ``t`` at
-    a time, by one of two kernels:
+    a time, adding one ``M x N`` slab of products per step:
 
-    - row gather, when ``b`` is one matrix (2-D) shared by at least
+    - the row slab, when ``b`` is one matrix (2-D) shared by at least
       ``2**lut.bitwidth`` rows of ``a``: ``T[:, b[t]]`` holds the products of
       ``b``'s row ``t`` with every operand value, and each row of ``a`` picks
-      its own. That slice has no more entries than the step gather would look
-      up, and no table of every weight's products is ever built;
-    - step gather otherwise (batched ``b``, such as attention scores, or
-      fewer rows): each step looks up ``T[a[..., t], b[t]]`` directly, so
-      temporaries stay the size of the output (or a few thousand entries,
-      whichever is larger).
+      its own. That slice has no more entries than the output slab, and no
+      table of every weight's products is ever built;
+    - the flat lookup otherwise (batched ``b``, such as attention scores, or
+      fewer rows): ``T[a[..., t], b[t]]`` directly, so temporaries stay the
+      size of the output.
 
-    No sum can leave int32 while ``depth * lut.max_abs`` fits it, so the row
-    gather then accumulates in int32; past that, an int64 accumulator is
-    scanned.
+    No sum can leave int32 while ``depth * lut.max_abs`` fits it, so the
+    accumulator is int32 then; past that, an int64 accumulator is scanned.
     """
     a, b = _check_matmul_shapes(a, b)
     depth = a.shape[-1]
@@ -109,24 +106,18 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         kx, ky = lut.truncations
         acc = np.matmul(_truncate(a, kx).astype(np.float64),
                         _truncate(b, ky).astype(np.float64))
-    elif b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
-        ea, eb = lut.encode(a), lut.encode(b)
-        acc = np.zeros(a.shape[:-1] + b.shape[-1:],
-                       dtype=np.int32 if bound <= _INT32_MAX else np.int64)
-        for t in range(depth):
-            acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
     else:
         ea, eb = lut.encode(a), lut.encode(b)
-        flat = lut.entries.ravel()
-        rows = ea << lut.bitwidth
         acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                       + (a.shape[-2], b.shape[-1]), dtype=np.int64)
-        # one inner index per step; small outputs take several per step so
-        # a long inner dimension does not turn into a long Python loop
-        step = max(1, _GATHER_STEP_ELEMENTS // max(acc.size, 1))
-        for t in range(0, depth, step):
-            part = flat.take(rows[..., :, t:t + step, None] + eb[..., None, t:t + step, :])
-            acc += part[..., 0, :] if step == 1 else part.sum(axis=-2, dtype=np.int64)
+                       + (a.shape[-2], b.shape[-1]),
+                       dtype=np.int32 if bound <= _INT32_MAX else np.int64)
+        if b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
+            for t in range(depth):
+                acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
+        else:
+            flat, rows = lut.entries.ravel(), ea << lut.bitwidth
+            for t in range(depth):
+                acc += flat.take(rows[..., t:t + 1] + eb[..., t:t + 1, :])
     if bound <= _INT32_MAX:
         return acc.astype(np.int32, copy=False)
     return _to_int32(acc, "axx_matmul")
@@ -430,6 +421,8 @@ def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
         if batch_limit < 1:
             raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
         patches, labels = patches[:batch_limit], labels[:batch_limit]
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if patches.shape[0] == 0:
         raise ValueError("empty dataset")
     luts = None if assignment is None else [catalog.lut(n) for n in assignment]

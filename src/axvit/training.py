@@ -184,7 +184,8 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
                     continue
                 grads = vit_backward(model, cache, dlogits, quantized=quantized)
                 opt.step(model.params, grads)
-                if quantized:  # weights drift during training; activation scales stay fixed
+                # weights drift during training; activation scales stay fixed
+                if model.scales is not None:
                     nn.refresh_weight_scales(model)
     except FloatingPointError as exc:
         raise RuntimeError(f"training diverged: {exc} at step {step}") from None

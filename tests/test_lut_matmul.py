@@ -129,13 +129,13 @@ SEARCH_SHAPES = [((16, 16, 16), (16, 16)), ((16, 16, 16), (16, 32)),
                  ((16, 16, 32), (32, 16))]
 FINETUNE_SHAPES = [((32, 16, 32), (32, 32)), ((32, 16, 32), (32, 64)),
                    ((32, 16, 64), (64, 32))]
+WEIGHT_SHAPE_IDS = [f"{w}-{math.prod(a[:-1])}x{a[-1]}x{b[-1]}"
+                    for w, shapes in (("search", SEARCH_SHAPES), ("finetune", FINETUNE_SHAPES))
+                    for a, b in shapes]
 
 
 @pytest.mark.parametrize("a_shape, b_shape", SEARCH_SHAPES + FINETUNE_SHAPES,
-                         ids=[f"{w}-{math.prod(a[:-1])}x{a[-1]}x{b[-1]}"
-                              for w, shapes in (("search", SEARCH_SHAPES),
-                                                ("finetune", FINETUNE_SHAPES))
-                              for a, b in shapes])
+                         ids=WEIGHT_SHAPE_IDS)
 def test_row_gather_at_benchmark_shapes(a_shape, b_shape):
     lut = noisy_exact_lut(seed=5)
     rng = np.random.default_rng(6)
@@ -144,11 +144,14 @@ def test_row_gather_at_benchmark_shapes(a_shape, b_shape):
     assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
 
 
-@pytest.mark.parametrize("a_shape, b_shape", [
-    ((32, 2, 16, 16), (32, 2, 16, 16)),  # finetune: q @ k^T and attn @ v per head
-    ((16, 2, 16, 8), (16, 2, 8, 16)),    # search: q @ k^T
-    ((16, 2, 16, 16), (16, 2, 16, 8)),   # search: attn @ v
-    ((512, 32), (1, 32, 64)),            # one weight given with a leading dim
+# (a, b) shapes of the attention matmuls, q @ k^T and attn @ v per head
+ATTENTION_SHAPES = [((32, 2, 16, 16), (32, 2, 16, 16)),  # finetune: both
+                    ((16, 2, 16, 8), (16, 2, 8, 16)),    # search: q @ k^T
+                    ((16, 2, 16, 16), (16, 2, 16, 8))]   # search: attn @ v
+
+
+@pytest.mark.parametrize("a_shape, b_shape", ATTENTION_SHAPES + [
+    ((512, 32), (1, 32, 64)),  # one weight given with a leading dim
 ], ids=["finetune-attention", "search-scores", "search-attn-v", "b-leading-1"])
 def test_batched_b_runs_the_step_gather(a_shape, b_shape):
     lut = noisy_exact_lut(seed=7)
@@ -156,6 +159,42 @@ def test_batched_b_runs_the_step_gather(a_shape, b_shape):
     a = rng.integers(-128, 128, size=a_shape, dtype=np.int32)
     b = rng.integers(-128, 128, size=b_shape, dtype=np.int32)
     assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
+
+
+class _TakeLog(np.ndarray):
+    """An array that logs the axis of every ``take`` made from it or from
+    the arrays it begets (views, flattenings, take results)."""
+
+    def __array_finalize__(self, obj):
+        self.axes = getattr(obj, "axes", None)
+
+    def take(self, indices, axis=None, **kwargs):
+        self.axes.append(axis)
+        return super().take(indices, axis=axis, **kwargs)
+
+
+@pytest.mark.parametrize("a_shape, b_shape, row_slab", [
+    (a, b, True) for a, b in SEARCH_SHAPES + FINETUNE_SHAPES] + [
+    (a, b, False) for a, b in ATTENTION_SHAPES],
+    ids=WEIGHT_SHAPE_IDS + ["finetune-attention", "search-scores", "search-attn-v"])
+def test_benchmark_shapes_reach_their_gather(a_shape, b_shape, row_slab):
+    # the weight matmuls take one 2**b x N column slice per inner index
+    # (axis 1); the attention matmuls look products up in the flat table
+    # (no axis), one M x N slab per inner index
+    lut = noisy_exact_lut(seed=11)
+    table = lut.entries.view(_TakeLog)
+    table.axes = []
+    lut.entries = table
+    rng = np.random.default_rng(12)
+    a = rng.integers(-128, 128, size=a_shape, dtype=np.int32)
+    b = rng.integers(-128, 128, size=b_shape, dtype=np.int32)
+    got = axx_matmul(a, b, lut)
+    depth = a_shape[-1]
+    if row_slab:
+        assert table.axes.count(1) == depth and None not in table.axes
+    else:
+        assert table.axes == [None] * depth
+    assert np.array_equal(got, gather_matmul(a, b, np.asarray(lut.entries)))
 
 
 def _peak_bytes(call):
@@ -169,18 +208,22 @@ def _peak_bytes(call):
     return out, peak - base
 
 
-def test_row_gather_peak_memory_is_half_the_step_gather():
-    # no 2**b * K * N table of weight products is built: at 512x32 @ 32x64
-    # the row gather's temporaries are the int32 accumulator and one slice
+def test_gather_peak_memory_is_far_below_the_weight_product_table():
+    # no 2**b * K * N table of weight products (2 MiB of int32 at 8 bits,
+    # K=32, N=64) is built: the row slab's temporaries are the encoded
+    # operands, the int32 accumulator and one 2**b x N slice, the flat
+    # lookup's the encoded operands, the accumulator and one M x N index
     lut = noisy_exact_lut(seed=9)
     rng = np.random.default_rng(10)
     a = rng.integers(-128, 128, size=(512, 32), dtype=np.int32)
     b = rng.integers(-128, 128, size=(32, 64), dtype=np.int32)
+    table = (1 << lut.bitwidth) * 32 * 64 * np.dtype(np.int32).itemsize
     _peak_bytes(lambda: axx_matmul(a, b, lut))  # anything set up lazily
     rows, rows_peak = _peak_bytes(lambda: axx_matmul(a, b, lut))
-    steps, steps_peak = _peak_bytes(lambda: axx_matmul(a, b[None], lut))
-    assert np.array_equal(rows, steps[0])
-    assert rows_peak <= steps_peak / 2
+    flat, flat_peak = _peak_bytes(lambda: axx_matmul(a, b[None], lut))
+    assert np.array_equal(rows, flat[0])
+    assert rows_peak <= table / 4
+    assert flat_peak < table / 2
 
 
 def test_out_of_range_uint8_operand_raises():
@@ -312,6 +355,35 @@ def test_int64_accumulator_past_the_static_bound(b_lead):
     assert np.abs(partial).max() > 2**31 and np.abs(partial[:, -1]).max() < 2**31
     b = b.reshape(b_lead + b.shape)
     assert np.array_equal(axx_matmul(a, b, lut), gather_matmul(a, b, lut.entries))
+
+
+@pytest.mark.parametrize("b_lead", [(), (1,)], ids=["row-gather", "step-gather"])
+def test_int32_accumulator_at_the_static_bound(b_lead):
+    # K * max|T| = 2**31 - 1 (a prime, so K = 1): the accumulator is int32
+    # and is not scanned, and sums of ±(2**31 - 1) come out exact. a has
+    # 2**2 rows, so a 2-D b runs the row gather and b[None] the step gather
+    entries = np.zeros((4, 4), dtype=np.int64)
+    entries[3, 3], entries[1, 3] = 2**31 - 1, -(2**31 - 1)
+    lut = ProductLut(2, entries)
+    a = np.array([[1], [-1], [0], [1]], dtype=np.int8)
+    b = np.ones(b_lead + (1, 1), dtype=np.int8)
+    got = axx_matmul(a, b, lut)
+    assert got.reshape(-1).tolist() == [2**31 - 1, -(2**31 - 1), 0, 2**31 - 1]
+
+
+@pytest.mark.parametrize("b_lead", [(), (1,)], ids=["row-gather", "step-gather"])
+def test_overflow_just_past_the_static_bound(b_lead):
+    # K * max|T| = 2 * 2**30 = 2**31: the accumulator is int64 and scanned,
+    # so a sum of exactly 2**31 raises instead of wrapping to -2**31
+    entries = np.zeros((4, 4), dtype=np.int64)
+    entries[3, 3] = 1 << 30
+    lut = ProductLut(2, entries)
+    a = np.ones((4, 2), dtype=np.int8)
+    b = np.ones(b_lead + (2, 1), dtype=np.int8)
+    with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+        axx_matmul(a, b, lut)
+    a[:, 1] = 0  # sums of 2**30 pass the scan
+    assert axx_matmul(a, b, lut).reshape(-1).tolist() == [2**30] * 4
 
 
 BEHAVIORAL_SPECS = tuple(

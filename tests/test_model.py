@@ -403,6 +403,16 @@ class TestEvaluateAccuracy:
                                        ["mul8s_1KV6"] * 2, catalog, batch_limit=128)
         assert full == limited
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_raises(self, small_calibrated_model, toy_data, catalog,
+                                         batch_size):
+        # -1 used to step backwards over no batch and return 0.0; 0 ended
+        # inside range()
+        patches, labels = toy_data
+        with pytest.raises(ValueError, match=rf"^batch_size must be >= 1, got {batch_size}$"):
+            ax.evaluate_accuracy(small_calibrated_model, patches[:64], labels[:64],
+                                 ["mul8s_1KV6"] * 2, catalog, batch_size=batch_size)
+
     def test_bad_assignment_length(self, small_calibrated_model, toy_data, catalog):
         patches, labels = toy_data
         with pytest.raises(ValueError, match="length"):

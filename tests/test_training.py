@@ -5,6 +5,7 @@ import axvit as ax
 from axvit import training as tr
 from axvit.model import WEIGHT_ROLES
 from axvit.multipliers import AxMultiplier
+from axvit.quant import max_scale
 
 
 def small_model(seed=0):
@@ -99,6 +100,30 @@ class TestFinetune:
             runs.append((losses, model.params["head.w"].copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
+
+
+class TestTrainFloat:
+    def test_refreshes_weight_scales_of_a_calibrated_model(self, toy_data):
+        patches, labels = toy_data
+        model = small_model()
+        ax.calibrate(model, patches[:64])
+        before = dict(model.scales)
+        tr.train_float(model, patches[:128], labels[:128],
+                       ax.TrainHyperparams(iterations=5, data_fraction=1.0))
+        weight_keys = {f"block{i}.{role}" for i in range(model.cfg.num_layers)
+                       for role in WEIGHT_ROLES}
+        for key in weight_keys:
+            assert model.scales[key] != before[key]
+            assert model.scales[key] == max_scale(model.params[key], model.bitwidth).scale
+        assert {k: v for k, v in model.scales.items() if k not in weight_keys} == {
+            k: v for k, v in before.items() if k not in weight_keys}
+
+    def test_uncalibrated_model_keeps_no_scales(self, toy_data):
+        patches, labels = toy_data
+        model = small_model()
+        tr.train_float(model, patches[:128], labels[:128],
+                       ax.TrainHyperparams(iterations=2, data_fraction=1.0))
+        assert model.scales is None
 
 
 class TestFloatBackward:
