@@ -447,7 +447,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    # OverflowError: a 32-bit accumulator sum of the model's products overflowed
+    except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"axvit {args.command}: {exc}", file=sys.stderr)
         return 1
 

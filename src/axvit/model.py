@@ -21,7 +21,7 @@ import numpy as np
 
 from .multipliers import _truncate
 from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
-                    QuantParams, max_scale, quantize)
+                    QuantParams, max_scale, quantize, saturate)
 
 CHECKPOINT_MAGIC = b"AXVITCK"
 CHECKPOINT_VERSION = 2
@@ -58,18 +58,67 @@ def _check_matmul_shapes(a, b):
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}") from None
+    if a.ndim > 2 and b.ndim > 2:  # a 2-D operand broadcasts against any stack
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError:
+            raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}") from None
     return a, b
+
+
+def _check_int32(acc, kernel: str):
+    """Raises if a sum of the accumulator overflowed 32 bits."""
+    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
+        raise OverflowError(f"32-bit accumulator overflow in {kernel}")
 
 
 def _to_int32(acc, kernel: str) -> np.ndarray:
     """The accumulator as int32; raises if a sum overflowed 32 bits."""
-    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
-        raise OverflowError(f"32-bit accumulator overflow in {kernel}")
+    _check_int32(acc, kernel)
     return acc.astype(np.int32)
+
+
+class PreparedOperand:
+    """One operand of a closed-form product, as ``prepare_operand`` builds
+    it: the integers ``trunc(quantize(x, qp), k)`` held exactly in a float64
+    array (``values``), with the bitwidth ``qp`` quantized to and the ``k``
+    LSBs masked. ``axx_matmul`` takes a pair of them only for a behavioral
+    table with those truncations and at least that bitwidth; a float
+    ndarray, which numpy arithmetic can produce anywhere, is still rejected
+    by dtype. ``shape`` is the values' shape."""
+
+    __slots__ = ("values", "bitwidth", "k")
+
+    def __init__(self, values: np.ndarray, bitwidth: int, k: int):
+        self.values, self.bitwidth, self.k = values, bitwidth, k
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
+
+
+def prepare_operand(x, qp: QuantParams, k: int = 0) -> PreparedOperand:
+    """x quantized by qp with its k LSBs masked, in one float64 array:
+    quantize's steps (``saturate``), ``np.trunc`` for its cast toward zero,
+    then ``floor(q * 2**-k) * 2**k`` for ``_truncate``'s shifts. Every step
+    is exact on integers below 2**53, so the values equal
+    ``_truncate(quantize(x, qp), k)``."""
+    q = saturate(x, qp)
+    np.trunc(q, out=q)
+    if k:
+        q *= 2.0 ** -k
+        np.floor(q, out=q)
+        q *= 2.0 ** k
+    return PreparedOperand(q, qp.bitwidth, k)
+
+
+def _closed_form(a, b, lut) -> np.ndarray:
+    """The float64 product of truncated operands, scanned when a sum could
+    pass int32."""
+    acc = np.matmul(a, b)
+    if a.shape[-1] * lut.max_abs > _INT32_MAX:
+        _check_int32(acc, "axx_matmul")
+    return acc
 
 
 def axx_matmul(a, b, lut) -> np.ndarray:
@@ -82,8 +131,12 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     gives every exact, truncating and perforating multiplier) runs in closed
     form: one float64 matmul of the truncated operands,
     ``trunc(a, kx) @ trunc(b, ky)``, which is exact while every partial sum
-    stays below 2**53. Any other table is gathered one inner index ``t`` at
-    a time, adding one ``M x N`` slab of products per step:
+    stays below 2**53. Integer operands are range-checked and truncated
+    here. A pair of ``PreparedOperand`` already holds the truncated values,
+    so it skips both steps, and the float64 accumulator is returned as it
+    is: its values are the exact integer sums. Any other table is gathered
+    one inner index ``t`` at a time, adding one ``M x N`` slab of products
+    per step:
 
     - the row slab, when ``b`` is one matrix (2-D) shared by at least
       ``2**lut.bitwidth`` rows of ``a``: ``T[:, b[t]]`` holds the products of
@@ -95,8 +148,17 @@ def axx_matmul(a, b, lut) -> np.ndarray:
       size of the output.
 
     No sum can leave int32 while ``depth * lut.max_abs`` fits it, so the
-    accumulator is int32 then; past that, an int64 accumulator is scanned.
+    accumulator is int32 then; past that, the accumulator (int64, or the
+    closed form's float64) is scanned.
     """
+    if isinstance(a, PreparedOperand) or isinstance(b, PreparedOperand):
+        if not (isinstance(a, PreparedOperand) and isinstance(b, PreparedOperand)
+                and (a.k, b.k) == lut.truncations
+                and max(a.bitwidth, b.bitwidth) <= lut.bitwidth
+                and a.shape[-1] * lut.max_abs < _FLOAT_EXACT_LIMIT):
+            raise ValueError("prepared operands do not match the product table")
+        _check_matmul_shapes(a.values, b.values)
+        return _closed_form(a.values, b.values, lut)
     a, b = _check_matmul_shapes(a, b)
     depth = a.shape[-1]
     bound = depth * lut.max_abs
@@ -104,22 +166,21 @@ def axx_matmul(a, b, lut) -> np.ndarray:
         lut.check(a)
         lut.check(b)
         kx, ky = lut.truncations
-        acc = np.matmul(_truncate(a, kx).astype(np.float64),
-                        _truncate(b, ky).astype(np.float64))
+        return _closed_form(_truncate(a, kx).astype(np.float64),
+                            _truncate(b, ky).astype(np.float64), lut).astype(np.int32)
+    ea, eb = lut.encode(a), lut.encode(b)
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                   + (a.shape[-2], b.shape[-1]),
+                   dtype=np.int32 if bound <= _INT32_MAX else np.int64)
+    if b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
+        for t in range(depth):
+            acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
     else:
-        ea, eb = lut.encode(a), lut.encode(b)
-        acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-                       + (a.shape[-2], b.shape[-1]),
-                       dtype=np.int32 if bound <= _INT32_MAX else np.int64)
-        if b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
-            for t in range(depth):
-                acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
-        else:
-            flat, rows = lut.entries.ravel(), ea << lut.bitwidth
-            for t in range(depth):
-                acc += flat.take(rows[..., t:t + 1] + eb[..., t:t + 1, :])
+        flat, rows = lut.entries.ravel(), ea << lut.bitwidth
+        for t in range(depth):
+            acc += flat.take(rows[..., t:t + 1] + eb[..., t:t + 1, :])
     if bound <= _INT32_MAX:
-        return acc.astype(np.int32, copy=False)
+        return acc
     return _to_int32(acc, "axx_matmul")
 
 
@@ -127,6 +188,32 @@ def exact_int_matmul(a, b) -> np.ndarray:
     """Exact integer matmul reference with 32-bit accumulators."""
     a, b = _check_matmul_shapes(a, b)
     return _to_int32(np.matmul(a.astype(np.int64), b.astype(np.int64)), "exact_int_matmul")
+
+
+def _prepares(lut, bitwidth: int, depth: int) -> bool:
+    """Whether operands of ``bitwidth`` bits and inner dimension ``depth``
+    are prepared for lut's closed form: a behavioral table whose range holds
+    them, below the float64 bound. Any other table, or no table, takes
+    int32 operands from ``quantize``, which axx_matmul range-checks."""
+    return (lut is not None and lut.truncations is not None and lut.bitwidth >= bitwidth
+            and depth * lut.max_abs < _FLOAT_EXACT_LIMIT)
+
+
+def _operand(x, qp: QuantParams, lut, side: int, prepared: bool):
+    """x quantized as operand ``side`` (0 for a, 1 for b) of a product."""
+    return prepare_operand(x, qp, lut.truncations[side]) if prepared else quantize(x, qp)
+
+
+def _dequantized_product(a, b, lut, scale) -> np.ndarray:
+    """The product of two quantized operands, through the LUT (or the exact
+    reference when ``lut`` is None), times ``scale``: a scalar, or one scale
+    per output column. The closed form's float64 accumulator is scaled in
+    place; an int32 one into a new float64 array."""
+    acc = axx_matmul(a, b, lut) if lut is not None else exact_int_matmul(a, b)
+    if acc.dtype == np.float64:
+        acc *= scale
+        return acc
+    return np.multiply(acc, scale, dtype=np.float64)
 
 
 def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np.ndarray:
@@ -138,10 +225,10 @@ def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np
         return x @ y
     if qp_x is None or qp_y is None:
         raise RuntimeError("missing calibration scales for quantized matmul")
-    qx = quantize(x, qp_x)
-    qy = quantize(y, qp_y)
-    acc = axx_matmul(qx, qy, lut) if lut is not None else exact_int_matmul(qx, qy)
-    return np.multiply(acc, qp_x.scale * qp_y.scale, dtype=np.float64)
+    prepared = _prepares(lut, max(qp_x.bitwidth, qp_y.bitwidth), np.shape(x)[-1])
+    return _dequantized_product(_operand(x, qp_x, lut, 0, prepared),
+                                _operand(y, qp_y, lut, 1, prepared), lut,
+                                qp_x.scale * qp_y.scale)
 
 
 def attn_weight_qparams(bitwidth: int) -> QuantParams:
@@ -303,11 +390,54 @@ def init_model(cfg: ModelConfig, seed: int = 0, bitwidth: int = 8) -> VitModel:
     return VitModel(cfg, params, bitwidth=bitwidth)
 
 
-def block_forward(model: VitModel, i: int, x, qps, lut, collect=False):
+# the weights that read each activation role, in the block's order
+_LINEAR_WEIGHTS = {"attn_in": ("wq", "wk", "wv"), "attn_out": ("wo",),
+                  "ffn_in": ("w1",), "ffn_mid": ("w2",)}
+
+
+def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
+    """Block i's weight operands for ``block_forward`` with these qps and
+    lut: weight name -> (activation role, operand, dequantization scale,
+    bias).
+
+    Quantized, each operand is the weight quantized by its scale (prepared
+    for lut's closed form, or int32), and q, k and v share one entry,
+    ``wqkv``: ``[wq|wk|wv]``, with one scale per column, ``sx * sw``, and
+    ``[bq|bk|bv]``. In real arithmetic (qps None) each entry is the model's
+    own weight, with no scale. Quantized operands hold the weights and scales
+    of this moment, so they must not be used after either changes.
+    """
+    p, pre = model.params, f"block{i}."
+    if qps is None:
+        if lut is not None:
+            raise RuntimeError("missing calibration scales for quantized matmul")
+        return {w: (role, p[pre + w], None, p[pre + "b" + w[1:]])
+                for role, names in _LINEAR_WEIGHTS.items() for w in names}
+    weights = {}
+    for role, names in _LINEAR_WEIGHTS.items():
+        prepared = _prepares(lut, qps[role].bitwidth, p[pre + names[0]].shape[0])
+        ops = [_operand(p[pre + w], qps[w], lut, 1, prepared) for w in names]
+        if prepared:
+            w = PreparedOperand(np.concatenate([o.values for o in ops], axis=1),
+                                ops[0].bitwidth, ops[0].k)
+            w.values.flags.writeable = False
+        else:
+            w = np.concatenate(ops, axis=1)
+            w.flags.writeable = False
+        scale = np.concatenate([np.full(p[pre + n].shape[1], qps[role].scale * qps[n].scale)
+                                for n in names])
+        bias = np.concatenate([p[pre + "b" + n[1:]] for n in names])
+        weights["w" + "".join(n[1:] for n in names)] = (role, w, scale, bias)
+    return weights
+
+
+def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=None):
     """Pre-norm transformer block i: y = x + MHA(LN1(x)), out = y + FFN(LN2(y)).
 
     qps: the block's QuantParams (``model.block_qps(i)``), or None for real
-    arithmetic; lut: its ProductLut, or None for the exact integer reference.
+    arithmetic; lut: its ProductLut, or None for the exact integer reference;
+    weights: ``block_weights(model, i, qps, lut)``, built here when not
+    given, so that a caller running many batches builds it once.
     x is only read, never written. Returns the block output, or (output,
     cache) when collect is set. The cache holds the tensor each activation
     quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
@@ -315,41 +445,59 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False):
     tanh term (ffn_t, which the backward reuses) and the LayerNorm caches
     (ln1, ln2). Intermediates live only when collected: otherwise each one is
     freed at its last use, so a block holds a few activations at a time.
+
+    Quantized, q, k and v are one product of the shared ``attn_in`` operand
+    with ``[wq|wk|wv]``: every output column is an exact integer dot product
+    times its own scale, so they equal three separate products. In real
+    arithmetic they stay three products, whose rounding must not depend on
+    the width of the weight matrix.
     """
     p = model.params
     pre = f"block{i}."
-    qps = qps or {}
+    if weights is None:
+        weights = block_weights(model, i, qps, lut)
     cache = {}
     keep = cache.update if collect else lambda **_: None
 
-    def linear(t, role_x, role_w):
-        return linear_forward(t, p[pre + role_w], p[pre + "b" + role_w[1:]],
-                              qps.get(role_x), qps.get(role_w), lut)
+    def linear(t, name):
+        role, w, scale, b = weights[name]
+        if qps is None:
+            y = t @ w
+        else:
+            a = _operand(t, qps[role], lut, 0, isinstance(w, PreparedOperand))
+            y = _dequantized_product(a, w, lut, scale)
+        y += b  # y is the product's own new array
+        return y
 
     h, ln1 = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
     keep(ln1=ln1, attn_in=h)
     del ln1
-    q, k, v = (_split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
-               for r in "qkv")
-    del h
+    if qps is None:
+        qkv = [linear(h, w) for w in _LINEAR_WEIGHTS["attn_in"]]
+    else:
+        y, d = linear(h, "wqkv"), model.cfg.embed_dim
+        qkv = [y[..., j:j + d] for j in range(0, 3 * d, d)]
+        del y
+    q, k, v = (_split_heads(t, model.cfg.num_heads) for t in qkv)
+    del h, qkv
     ctx, att = attention_forward(q, k, v, qps, lut)
     keep(q=q, k=k, v=v, attn=att)
     del q, k, v, att
     ctx = _merge_heads(ctx)
-    x = x + linear(ctx, "attn_out", "wo")  # a new array: the input stays as it was
+    x = x + linear(ctx, "wo")  # a new array: the input stays as it was
     keep(attn_out=ctx)
     del ctx
     h, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
     keep(ln2=ln2, ffn_in=h)
     del ln2
-    hf = linear(h, "ffn_in", "w1")
+    hf = linear(h, "w1")
     del h
     t = _gelu_tanh(hf) if collect else None  # lean: gelu's own tanh, formed in place
     keep(ffn_h=hf, ffn_t=t)
     a = gelu(hf, t)
     del hf, t
     keep(ffn_mid=a)
-    x += linear(a, "ffn_mid", "w2")
+    x += linear(a, "w2")
     return (x, cache) if collect else x
 
 
@@ -376,6 +524,16 @@ def pool_head(model: VitModel, x):
     """Mean pool over the tokens and exact classifier head: (logits, pooled)."""
     pooled = x.mean(axis=1)
     return pooled @ model.params["head.w"] + model.params["head.b"], pooled
+
+
+def predictions(model: VitModel, x) -> np.ndarray:
+    """The top-1 class of each sample from the last block's output. Raises
+    when a logit is not finite (an activation overflowed), where argmax
+    would pick an arbitrary class."""
+    logits, _ = pool_head(model, x)
+    if not np.isfinite(logits).all():
+        raise ValueError("the forward pass gave non-finite logits: an activation overflowed")
+    return logits.argmax(axis=1)
 
 
 def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=False):
@@ -426,10 +584,19 @@ def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
     if patches.shape[0] == 0:
         raise ValueError("empty dataset")
     luts = None if assignment is None else [catalog.lut(n) for n in assignment]
+    # vit_forward's stages, with the blocks' weight operands built once for
+    # every batch: the weights and scales stay fixed for the call
+    patches = forward_inputs(model, patches, luts)
+    plan = []
+    for i in range(model.cfg.num_layers):
+        qps, lut = model.block_qps(i), None if luts is None else luts[i]
+        plan.append((qps, lut, block_weights(model, i, qps, lut)))
     correct = 0
     for start in range(0, patches.shape[0], batch_size):
-        logits = vit_forward(model, patches[start:start + batch_size], luts)
-        correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
+        x = embed(model, patches[start:start + batch_size])
+        for i, (qps, lut, weights) in enumerate(plan):
+            x = block_forward(model, i, x, qps, lut, weights=weights)
+        correct += int((predictions(model, x) == labels[start:start + batch_size]).sum())
     return correct / patches.shape[0]
 
 

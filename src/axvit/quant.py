@@ -136,12 +136,13 @@ def max_scale(values, bitwidth: int) -> QuantParams:
     return QuantParams.from_clip(amax, bitwidth)
 
 
-def quantize(x, qp: QuantParams) -> np.ndarray:
-    """Saturating quantization with half-away-from-zero rounding."""
+def saturate(x, qp: QuantParams) -> np.ndarray:
+    """quantize's steps before the truncation toward zero, in one new
+    float64 array: truncating it gives the quantized integers."""
     x = np.asarray(x, dtype=np.float64)
     # |x| / scale + 0.5, capped at qmax, given x's sign back and truncated
-    # toward zero by the cast, rounds half away from zero and saturates.
-    # IEEE division and addition are sign-symmetric, so this equals
+    # toward zero, rounds half away from zero and saturates. IEEE division
+    # and addition are sign-symmetric, so this equals
     # clip(trunc(x / scale + copysign(0.5, x)), -qmax, qmax) bit for bit.
     # Every step writes into one new array (out=, so that 0-d input gives an
     # array, not a scalar), and x is only read.
@@ -149,8 +150,13 @@ def quantize(x, qp: QuantParams) -> np.ndarray:
     q /= qp.scale
     q += 0.5
     np.minimum(q, qp.qmax, out=q)
-    np.copysign(q, x, out=q)
-    return q.astype(np.int32)
+    return np.copysign(q, x, out=q)
+
+
+def quantize(x, qp: QuantParams) -> np.ndarray:
+    """Saturating quantization with half-away-from-zero rounding; the int32
+    cast truncates ``saturate``'s values toward zero."""
+    return saturate(x, qp).astype(np.int32)
 
 
 def dequantize(q, qp: QuantParams) -> np.ndarray:

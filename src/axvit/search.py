@@ -153,12 +153,25 @@ class PrefixMemo:
     so ``entries[prefix]`` holds the output of block ``len(prefix) - 1`` (the
     embedded probe for ``()``), one read-only array per probe chunk of
     ``model.BATCH`` samples. The least recently used entries go once the
-    entries hold more than ``MEMO_BYTES``.
+    entries hold more than ``MEMO_BYTES``. Beside them, ``plans`` holds, for
+    each (block, multiplier name) that ran, the block's scales and the
+    ``model.block_weights`` built from them, so each block's weights are
+    quantized once per multiplier.
     """
 
     def __init__(self):
         self.entries: OrderedDict[tuple[str, ...], list[np.ndarray]] = OrderedDict()
         self.nbytes = 0
+        self.plans: dict[tuple[int, str], tuple[dict, dict]] = {}
+
+    def plan(self, model, i: int, name: str, lut) -> tuple[dict, dict]:
+        """(qps, weights) of block i for the multiplier ``name``, whose table
+        is lut; built on first use."""
+        plan = self.plans.get((i, name))
+        if plan is None:
+            qps = model.block_qps(i)
+            plan = self.plans[i, name] = qps, nn.block_weights(model, i, qps, lut)
+        return plan
 
     def longest(self, assignment: tuple[str, ...]):
         """(n, chunks) for the longest cached prefix ``assignment[:n]``, or
@@ -186,7 +199,8 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
 
     Equal to ``evaluate_accuracy`` on the probe batch. With a memo, the blocks
     of the longest prefix of ``assignment`` that it holds are not run again,
-    and every block output computed here is stored in it.
+    every block output computed here is stored in it, and each block's scales
+    and weight operands are built once for all the calls that share the memo.
     """
     nn.check_labels(probe_patches, probe_labels)
     n = np.shape(probe_patches)[0]
@@ -201,12 +215,11 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
         xs = [nn.embed(model, patches[s:s + nn.BATCH]) for s in range(0, n, nn.BATCH)]
         memo.store((), xs)
     for i in range(done, len(assignment)):
-        qps = model.block_qps(i)
-        xs = [nn.block_forward(model, i, x, qps, luts[i]) for x in xs]
+        qps, weights = memo.plan(model, i, assignment[i], luts[i])
+        xs = [nn.block_forward(model, i, x, qps, luts[i], weights=weights) for x in xs]
         memo.store(assignment[:i + 1], xs)
     labels = np.asarray(probe_labels)
-    correct = sum(int((nn.pool_head(model, x)[0].argmax(axis=1)
-                       == labels[s:s + nn.BATCH]).sum())
+    correct = sum(int((nn.predictions(model, x) == labels[s:s + nn.BATCH]).sum())
                   for s, x in zip(range(0, n, nn.BATCH), xs))
     return correct / n
 

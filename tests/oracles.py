@@ -25,6 +25,25 @@ def gather_matmul(a, b, entries):
     return entries[ea[..., :, :, None], eb[..., None, :, :]].sum(axis=-2, dtype=np.int64)
 
 
+def sign_floor_quantize(x, qp):
+    """Saturating quantization by its original formula: the sign times the
+    floor of |x| / scale + 0.5, clipped to the signed range."""
+    q = np.sign(x) * np.floor(np.abs(x) / qp.scale + 0.5)
+    return np.clip(q, -qp.qmax, qp.qmax).astype(np.int32)
+
+
+def quantized_matmul(x, y, qp_x, qp_y, lut):
+    """x @ y on quantized operands: both quantized by sign_floor_quantize,
+    every product looked up in the table by gather_matmul (or, with no
+    table, an int64 matmul), and the sums times the product of the scales."""
+    qx, qy = sign_floor_quantize(x, qp_x), sign_floor_quantize(y, qp_y)
+    if lut is None:
+        acc = np.matmul(qx.astype(np.int64), qy.astype(np.int64))
+    else:
+        acc = gather_matmul(qx, qy, lut.entries)
+    return acc * (qp_x.scale * qp_y.scale)
+
+
 def truncate_operand(v, b, k):
     """Mask the k least significant bits of v's two's-complement pattern."""
     u = _to_unsigned(v, b) & ~((1 << k) - 1)
@@ -162,22 +181,27 @@ def gelu_out_of_place(x):
 
 def block_out_of_place(model, i, x, qps, lut):
     """Transformer block i with every add, softmax and GELU step out of place
-    and every intermediate kept to the end. The quantized matmul and
-    LayerNorm are the package's own; the rest is written out here."""
+    and every intermediate kept to the end; q, k and v are three separate
+    projections. The quantized matmuls are quantized_matmul; LayerNorm and
+    the head split are the package's own, the rest is written out here."""
     from axvit import model as nn
 
-    p, pre, qps = model.params, f"block{i}.", qps or {}
+    p, pre = model.params, f"block{i}."
+
+    def matmul(a, b, role_a, role_b):
+        if qps is None:
+            return a @ b
+        return quantized_matmul(a, b, qps[role_a], qps[role_b], lut)
 
     def linear(t, role_x, role_w):
-        return nn._matmul(t, p[pre + role_w], qps.get(role_x), qps.get(role_w),
-                          lut) + p[pre + "b" + role_w[1:]]
+        return matmul(t, p[pre + role_w], role_x, role_w) + p[pre + "b" + role_w[1:]]
 
     h, _ = nn.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
     q, k, v = (nn._split_heads(linear(h, "attn_in", "w" + r), model.cfg.num_heads)
                for r in "qkv")
-    att = softmax_out_of_place(nn._matmul(q, np.swapaxes(k, -1, -2), qps.get("q"),
-                                          qps.get("k"), lut) / np.sqrt(q.shape[-1]))
-    ctx = nn._matmul(att, v, qps.get("attn"), qps.get("v"), lut)
+    att = softmax_out_of_place(matmul(q, np.swapaxes(k, -1, -2), "q", "k")
+                               / np.sqrt(q.shape[-1]))
+    ctx = matmul(att, v, "attn", "v")
     y = x + linear(nn._merge_heads(ctx), "attn_out", "wo")
     h2, _ = nn.layer_norm(y, p[pre + "ln2.g"], p[pre + "ln2.b"])
     hf = linear(h2, "ffn_in", "w1")

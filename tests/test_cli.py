@@ -180,6 +180,25 @@ class TestEval:
                                    patches[:128], labels[:128])
         assert report["accuracy"] == want
 
+    def test_accumulator_overflow_ends_in_one_line(self, tmp_path, capsys):
+        """A 12-bit model whose second FFN matmul sums 2048 products near
+        2**22 passes int32. K * max|T| = 2**33 is past the static bound, so
+        the closed form scans its accumulator, and eval names the overflow in
+        one line instead of a traceback."""
+        model = ax.init_model(ax.ModelConfig(embed_dim=16, ffn_dim=2048), bitwidth=12)
+        for i in range(2):
+            model.params[f"block{i}.w2"][...] = 0.01
+            model.params[f"block{i}.b1"][...] = 100.0
+        imgs, _ = dt.synthetic_dataset(64, seed=1)
+        ax.calibrate(model, dt.images_to_patches(imgs))
+        ckpt, catalog = tmp_path / "m12.ckpt", tmp_path / "cat12.json"
+        ax.save_checkpoint(model, str(ckpt))
+        catalog.write_text(json.dumps([{"name": "exact12", "bitwidth": 12, "kind": "exact"}]))
+        assert run("eval", "--model", str(ckpt), "--dataset", "synthetic:64:1",
+                   "--config", "exact12", "--catalog", str(catalog)) == 1
+        assert capsys.readouterr() == ("", "axvit eval: 32-bit accumulator overflow "
+                                           "in axx_matmul\n")
+
     def test_unknown_multiplier(self, workspace, capsys):
         assert run("eval", "--model", workspace["ckpt"], "--dataset",
                    workspace["data"], "--config", "nope") == 1

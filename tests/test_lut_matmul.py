@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axvit.model import axx_matmul, evaluate_accuracy, vit_forward
+from axvit.model import (PreparedOperand, axx_matmul, evaluate_accuracy, prepare_operand,
+                         vit_forward)
 from axvit.multipliers import (MAX_LUT_BITWIDTH, AxMultiplier, Catalog, ProductLut,
-                               approx_product, approx_products, build_lut,
+                               _truncate, approx_product, approx_products, build_lut,
                                builtin_catalog, load_lut, lut_lookup,
                                parse_multiplier_spec, save_lut)
 from axvit.quant import QuantParams, quantize
-from oracles import gather_matmul, perforated_product, truncated_product
+from oracles import (gather_matmul, perforated_product, sign_floor_quantize,
+                     truncated_product)
 
 SPECS = ("exact8", "trunc8k1", "trunc8k2", "trunc8k3", "perf8r1", "perf8r2", "perf8r3")
 SPEC_LUTS = {spec: build_lut(parse_multiplier_spec(spec)) for spec in SPECS}
@@ -464,11 +466,6 @@ def test_loaded_table_has_no_truncations(tmp_path):
     assert load_lut(path).truncations is None
 
 
-def _sign_floor_quantize(x, qp):
-    q = np.sign(x) * np.floor(np.abs(x) / qp.scale + 0.5)
-    return np.clip(q, -qp.qmax, qp.qmax).astype(np.int32)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_quantize_matches_sign_floor_formula(data):
@@ -484,7 +481,7 @@ def test_quantize_matches_sign_floor_formula(data):
                        st.floats(allow_nan=False))
     x = data.draw(hnp.arrays(np.float64, st.integers(0, 32), elements=values))
     with np.errstate(over="ignore"):  # huge |x| / scale saturates via inf
-        assert np.array_equal(quantize(x, qp), _sign_floor_quantize(x, qp))
+        assert np.array_equal(quantize(x, qp), sign_floor_quantize(x, qp))
 
 
 @pytest.mark.parametrize("x, want", [(-0.0, 0), (0.5, 1), (-0.5, -1), (1.5, 2),
@@ -506,4 +503,78 @@ def test_quantize_leaves_its_input_alone(kind):
     assert np.array(x).tobytes() == before
     assert isinstance(got, np.ndarray) and got.dtype == np.int32
     assert not np.shares_memory(got, x)
-    assert np.array_equal(got, _sign_floor_quantize(x, qp))
+    assert np.array_equal(got, sign_floor_quantize(x, qp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_prepared_operand_equals_truncated_quantize(data):
+    """prepare_operand builds in float64 the integers that quantize and
+    _truncate build in int32, over bitwidths 2-16 and every k, with ties,
+    saturation and signed zeros among the inputs."""
+    bitwidth = data.draw(st.integers(2, 16))
+    k = data.draw(st.integers(0, bitwidth - 1))
+    scale = data.draw(st.one_of(st.floats(1e-6, 1e3),
+                                st.integers(-20, 10).map(lambda e: 2.0**e)))
+    qp = QuantParams(scale=scale, bitwidth=bitwidth)
+    qmax = qp.qmax
+    halves = st.integers(-2 * qmax, 2 * qmax).map(lambda i: (i + 0.5) * scale)
+    special = st.sampled_from([0.0, -0.0, qp.clip, -qp.clip, 2 * qp.clip,
+                               -2 * qp.clip, np.inf, -np.inf])
+    values = st.one_of(special, halves, st.floats(-2 * qp.clip, 2 * qp.clip),
+                       st.floats(allow_nan=False))
+    x = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                             elements=values))
+    with np.errstate(over="ignore"):  # huge |x| / scale saturates via inf
+        got = prepare_operand(x, qp, k)
+        want = np.asarray(_truncate(quantize(x, qp), k), dtype=np.float64)
+    assert isinstance(got, PreparedOperand) and (got.bitwidth, got.k) == (bitwidth, k)
+    assert got.values.dtype == np.float64 and got.shape == x.shape
+    # bit for bit once the sign of a zero is dropped: no sum of products shows it
+    assert (got.values + 0.0).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+PREPARED_QP = QuantParams(scale=0.1, bitwidth=8)
+PREPARED_X = np.random.default_rng(11).normal(0, 8, size=(2, 3, 4))
+PREPARED_Y = np.random.default_rng(12).normal(0, 8, size=(4, 5))
+
+
+def test_prepared_operands_give_the_float_accumulator():
+    lut, qp = SPEC_LUTS["trunc8k2"], PREPARED_QP
+    got = axx_matmul(prepare_operand(PREPARED_X, qp, 2), prepare_operand(PREPARED_Y, qp, 2), lut)
+    assert got.dtype == np.float64
+    assert got.tolist() == axx_matmul(quantize(PREPARED_X, qp), quantize(PREPARED_Y, qp),
+                                      lut).tolist()
+
+
+def _mismatched_operands(case):
+    lut, qp, wide = SPEC_LUTS["trunc8k2"], PREPARED_QP, QuantParams(scale=0.1, bitwidth=10)
+    a, b = prepare_operand(PREPARED_X, qp, 2), prepare_operand(PREPARED_Y, qp, 2)
+    if case == "past the float64 bound":
+        deep = ProductLut(2, np.full((4, 4), -(1 << 31)))
+        deep.truncations = (0, 0)  # K * max|T| = 2**53 at K = 2**22
+        return (PreparedOperand(np.broadcast_to(0.0, (1, 1 << 22)), 2, 0),
+                PreparedOperand(np.broadcast_to(0.0, (1 << 22, 1)), 2, 0), deep)
+    return {"ndarray a": (quantize(PREPARED_X, qp), b, lut),
+            "ndarray b": (a, quantize(PREPARED_Y, qp), lut),
+            "other truncations": (a, b, SPEC_LUTS["trunc8k1"]),
+            "gathered table": (a, b, noisy_exact_lut(seed=2)),
+            "wider than the table": (prepare_operand(PREPARED_X, wide, 2),
+                                     prepare_operand(PREPARED_Y, wide, 2), lut)}[case]
+
+
+@pytest.mark.parametrize("case", ["ndarray a", "ndarray b", "other truncations",
+                                  "gathered table", "wider than the table",
+                                  "past the float64 bound"])
+def test_prepared_operands_only_in_pairs_for_their_table(case):
+    """axx_matmul takes prepared operands only as a pair made for the
+    table's truncations and range, below the float64 bound."""
+    with pytest.raises(ValueError, match="prepared operands do not match the product table"):
+        axx_matmul(*_mismatched_operands(case))
+
+
+def test_float_array_of_integers_is_no_prepared_operand():
+    a = prepare_operand(PREPARED_X, PREPARED_QP, 2)
+    b = prepare_operand(PREPARED_Y, PREPARED_QP, 2)
+    with pytest.raises(ValueError, match="operand must be integers, got float64"):
+        axx_matmul(a.values, b.values, SPEC_LUTS["trunc8k2"])

@@ -413,11 +413,91 @@ class TestEvaluateAccuracy:
             ax.evaluate_accuracy(small_calibrated_model, patches[:64], labels[:64],
                                  ["mul8s_1KV6"] * 2, catalog, batch_size=batch_size)
 
+    def test_non_finite_logits_raise(self, small_calibrated_model, toy_data, catalog):
+        """A bias of 1e308 overflows the next LayerNorm, so every logit is
+        NaN and argmax would pick an arbitrary class: both accuracy paths
+        raise instead."""
+        from axvit import search as se
+
+        model = small_calibrated_model.copy()
+        model.params["block0.b2"][...] = 1e308
+        patches, labels = toy_data[0][:8], toy_data[1][:8]
+        names = ["mul8s_1L2H"] * 2
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite logits"):
+                ax.evaluate_accuracy(model, patches, labels, names, catalog)
+            with pytest.raises(ValueError, match="non-finite logits"):
+                se.predict_accuracy(model, names, catalog, patches, labels)
+
     def test_bad_assignment_length(self, small_calibrated_model, toy_data, catalog):
         patches, labels = toy_data
         with pytest.raises(ValueError, match="length"):
             ax.evaluate_accuracy(small_calibrated_model, patches[:8], labels[:8],
                                  ["mul8s_1KV6"], catalog)
+
+
+class TestPreparedOperands:
+    """The closed form runs on prepared operands only where the table's range
+    holds the model's; the weight operands are built per call."""
+
+    @staticmethod
+    def model(bitwidth, patches):
+        model = ax.init_model(ax.ModelConfig(num_layers=2, embed_dim=16, num_heads=2,
+                                             ffn_dim=32), seed=4, bitwidth=bitwidth)
+        ax.calibrate(model, patches[:64])
+        return model
+
+    def test_table_narrower_than_the_model_raises(self, toy_data, catalog):
+        patches, labels = toy_data
+        model = self.model(10, patches)
+        names = ["mul8s_1L2H"] * 2
+        with pytest.raises(ValueError, match="out of range"):
+            ax.vit_forward(model, patches[:8], [catalog.lut(n) for n in names])
+        with pytest.raises(ValueError, match="out of range"):
+            ax.evaluate_accuracy(model, patches[:8], labels[:8], names, catalog)
+
+    def test_table_wider_than_the_model_equals_its_entries(self, toy_data):
+        patches, labels = toy_data
+        model = self.model(4, patches)
+        specs = [ax.parse_multiplier_spec("trunc8k2"), ax.parse_multiplier_spec("perf8r1")]
+        luts = [build_lut(m) for m in specs]
+        by_entries = [ProductLut(8, lut.entries) for lut in luts]
+        got = ax.vit_forward(model, patches[:70], luts)
+        assert got.tobytes() == ax.vit_forward(model, patches[:70], by_entries).tobytes()
+        assert not np.array_equal(got, ax.vit_forward(model, patches[:70], None))
+
+    def test_weight_update_reaches_the_next_call(self, small_calibrated_model, toy_data,
+                                                 catalog):
+        """After an in-place weight update and refresh_weight_scales,
+        evaluate_accuracy and predict_accuracy equal those of a fresh copy:
+        no weight operand built before the update is used after it. The
+        labels are the updated model's own predictions, so any stale operand
+        would show."""
+        from axvit import search as se
+
+        model = small_calibrated_model.copy()
+        names = ["mul8s_1L2H", "mul8s_1KV6"]
+        luts = [catalog.lut(n) for n in names]
+        patches = toy_data[0][:128]
+        rng = np.random.default_rng(5)
+        update = {k: rng.normal(0, 0.5, t.shape) for k, t in model.params.items()
+                  if k.startswith("block") and k.split(".")[1] in ax.model.WEIGHT_ROLES}
+        updated = model.copy()
+        for key, delta in update.items():
+            updated.params[key] += delta
+        refresh_weight_scales(updated)
+        labels = ax.vit_forward(updated, patches, luts).argmax(axis=1)
+        before = (ax.evaluate_accuracy(model, patches, labels, names, catalog),
+                  se.predict_accuracy(model, names, catalog, patches, labels))
+        assert max(before) < 1.0
+        for key, delta in update.items():
+            model.params[key] += delta  # in place, as an optimizer step updates them
+        refresh_weight_scales(model)
+        fresh = model.copy()
+        assert (ax.evaluate_accuracy(model, patches, labels, names, catalog)
+                == ax.evaluate_accuracy(fresh, patches, labels, names, catalog) == 1.0)
+        assert (se.predict_accuracy(model, names, catalog, patches, labels)
+                == se.predict_accuracy(fresh, names, catalog, patches, labels) == 1.0)
 
 
 class TestCalibrateAndCheckpoint:

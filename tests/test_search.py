@@ -446,9 +446,9 @@ class TestPrefixMemo:
         calls = []
         real = ax.model.block_forward
 
-        def spy(m, i, x, qps, lut, collect=False):
+        def spy(m, i, x, qps, lut, collect=False, weights=None):
             calls.append(x.shape[0])
-            return real(m, i, x, qps, lut, collect)
+            return real(m, i, x, qps, lut, collect, weights)
 
         monkeypatch.setattr(ax.model, "block_forward", spy)
         table = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
@@ -470,9 +470,9 @@ class TestPrefixMemo:
             evaluated.append(tuple(args[1]))
             return real_predict(*args)
 
-        def spy_block(m, i, x, qps, lut, collect=False):
+        def spy_block(m, i, x, qps, lut, collect=False, weights=None):
             blocks.append((i, name_of[id(lut)], x.shape[0]))
-            return real_block(m, i, x, qps, lut, collect)
+            return real_block(m, i, x, qps, lut, collect, weights)
 
         monkeypatch.setattr(se, "predict_accuracy", spy_predict)
         monkeypatch.setattr(ax.model, "block_forward", spy_block)

@@ -102,6 +102,21 @@ class TestFinetune:
         assert np.array_equal(runs[0][1], runs[1][1])
 
 
+    def test_second_step_runs_on_the_first_steps_weights(self, small_calibrated_model,
+                                                           toy_data, catalog):
+        """Each forward pass of finetune builds its weight operands from the
+        weights and scales of that step. The history was recorded when every
+        forward pass quantized each weight inside each matmul; the second
+        loss differs from the first by far more than the tolerance, which
+        only allows for a BLAS that rounds the float matmuls differently."""
+        patches, labels = toy_data
+        hp = ax.TrainHyperparams(optimizer="adam", learning_rate=1e-2, iterations=2,
+                                 batch_size=32, data_fraction=1.0, seed=2)
+        history = ax.finetune(small_calibrated_model.copy(), ["mul8s_1L2H", "mul8s_1KV9"],
+                              patches[:256], labels[:256], hp, catalog)
+        assert history == pytest.approx([2.5857415613623145, 3.8226234021165864],
+                                         rel=1e-12, abs=0)
+
 class TestTrainFloat:
     def test_refreshes_weight_scales_of_a_calibrated_model(self, toy_data):
         patches, labels = toy_data
