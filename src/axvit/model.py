@@ -3,10 +3,11 @@
 Every matrix multiply inside multi-head attention and the FFN runs on
 quantized operands, and each scalar product is the one a product LUT holds
 (or the exact one when no LUT is given). A behavioral multiplier's product
-is computed in closed form from its operand truncations; any other table is
-gathered, row by row of the weight operand when enough rows of the other
-share it. Softmax, LayerNorm, GELU, residual adds, the patch embedding and
-the classifier head stay in real arithmetic.
+is computed in closed form on operands prepared with its truncations;
+integer operands are gathered from the table, row by row of the weight
+operand when enough rows of the other share it. Softmax, LayerNorm, GELU,
+residual adds, the patch embedding and the classifier head stay in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .multipliers import _truncate
 from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
                     QuantParams, max_scale, quantize, saturate)
 
@@ -112,13 +112,15 @@ def prepare_operand(x, qp: QuantParams, k: int = 0) -> PreparedOperand:
     return PreparedOperand(q, qp.bitwidth, k)
 
 
-def _closed_form(a, b, lut) -> np.ndarray:
-    """The float64 product of truncated operands, scanned when a sum could
-    pass int32."""
-    acc = np.matmul(a, b)
-    if a.shape[-1] * lut.max_abs > _INT32_MAX:
-        _check_int32(acc, "axx_matmul")
-    return acc
+def _prepares(lut, bitwidth: int, depth: int) -> bool:
+    """Whether operands of ``bitwidth`` bits and inner dimension ``depth``
+    are prepared for lut's closed form: a behavioral table whose range holds
+    them, below the float64 bound. This is the one statement of the rule:
+    ``_operand`` prepares by it and ``axx_matmul`` checks a prepared pair by
+    it. Any other table, or no table, takes int32 operands from
+    ``quantize``."""
+    return (lut is not None and lut.truncations is not None and lut.bitwidth >= bitwidth
+            and depth * lut.max_abs < _FLOAT_EXACT_LIMIT)
 
 
 def axx_matmul(a, b, lut) -> np.ndarray:
@@ -126,17 +128,19 @@ def axx_matmul(a, b, lut) -> np.ndarray:
 
     Supports stacked matrices with matching leading dims, like np.matmul.
     Accumulation is exact 32-bit; only the multiplications are approximated.
+    The operands' type picks one of two kernels.
 
-    A behavioral table (``lut.truncations = (kx, ky)``, as ``build_lut``
-    gives every exact, truncating and perforating multiplier) runs in closed
-    form: one float64 matmul of the truncated operands,
-    ``trunc(a, kx) @ trunc(b, ky)``, which is exact while every partial sum
-    stays below 2**53. Integer operands are range-checked and truncated
-    here. A pair of ``PreparedOperand`` already holds the truncated values,
-    so it skips both steps, and the float64 accumulator is returned as it
-    is: its values are the exact integer sums. Any other table is gathered
-    one inner index ``t`` at a time, adding one ``M x N`` slab of products
-    per step:
+    A pair of ``PreparedOperand`` runs in closed form. The table must be
+    behavioral (``lut.truncations = (kx, ky)``, as ``build_lut`` gives every
+    exact, truncating and perforating multiplier), the pair's truncations
+    ``(kx, ky)`` and ``_prepares`` must allow its bitwidth and depth, so its
+    values are ``trunc(a, kx)`` and ``trunc(b, ky)``. One float64 matmul of
+    them is exact while every partial sum stays below 2**53, and the float64
+    accumulator is returned as it is: its values are the exact integer sums.
+
+    Integer arrays are range-checked and gathered, whatever the table, one
+    inner index ``t`` at a time, adding one ``M x N`` slab of products per
+    step:
 
     - the row slab, when ``b`` is one matrix (2-D) shared by at least
       ``2**lut.bitwidth`` rows of ``a``: ``T[:, b[t]]`` holds the products of
@@ -154,20 +158,16 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     if isinstance(a, PreparedOperand) or isinstance(b, PreparedOperand):
         if not (isinstance(a, PreparedOperand) and isinstance(b, PreparedOperand)
                 and (a.k, b.k) == lut.truncations
-                and max(a.bitwidth, b.bitwidth) <= lut.bitwidth
-                and a.shape[-1] * lut.max_abs < _FLOAT_EXACT_LIMIT):
+                and _prepares(lut, max(a.bitwidth, b.bitwidth), a.shape[-1])):
             raise ValueError("prepared operands do not match the product table")
-        _check_matmul_shapes(a.values, b.values)
-        return _closed_form(a.values, b.values, lut)
+        a, b = _check_matmul_shapes(a.values, b.values)
+        acc = np.matmul(a, b)
+        if a.shape[-1] * lut.max_abs > _INT32_MAX:
+            _check_int32(acc, "axx_matmul")
+        return acc
     a, b = _check_matmul_shapes(a, b)
     depth = a.shape[-1]
     bound = depth * lut.max_abs
-    if lut.truncations is not None and bound < _FLOAT_EXACT_LIMIT:
-        lut.check(a)
-        lut.check(b)
-        kx, ky = lut.truncations
-        return _closed_form(_truncate(a, kx).astype(np.float64),
-                            _truncate(b, ky).astype(np.float64), lut).astype(np.int32)
     ea, eb = lut.encode(a), lut.encode(b)
     acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                    + (a.shape[-2], b.shape[-1]),
@@ -190,18 +190,13 @@ def exact_int_matmul(a, b) -> np.ndarray:
     return _to_int32(np.matmul(a.astype(np.int64), b.astype(np.int64)), "exact_int_matmul")
 
 
-def _prepares(lut, bitwidth: int, depth: int) -> bool:
-    """Whether operands of ``bitwidth`` bits and inner dimension ``depth``
-    are prepared for lut's closed form: a behavioral table whose range holds
-    them, below the float64 bound. Any other table, or no table, takes
-    int32 operands from ``quantize``, which axx_matmul range-checks."""
-    return (lut is not None and lut.truncations is not None and lut.bitwidth >= bitwidth
-            and depth * lut.max_abs < _FLOAT_EXACT_LIMIT)
-
-
-def _operand(x, qp: QuantParams, lut, side: int, prepared: bool):
-    """x quantized as operand ``side`` (0 for a, 1 for b) of a product."""
-    return prepare_operand(x, qp, lut.truncations[side]) if prepared else quantize(x, qp)
+def _operand(x, qp: QuantParams, lut, side: int):
+    """x quantized as operand ``side`` (0 for a, 1 for b) of a product
+    through lut: prepared for its closed form where ``_prepares`` allows it,
+    with the inner dimension read from x's shape, or int32 from ``quantize``."""
+    if _prepares(lut, qp.bitwidth, np.shape(x)[-1 - side]):
+        return prepare_operand(x, qp, lut.truncations[side])
+    return quantize(x, qp)
 
 
 def _dequantized_product(a, b, lut, scale) -> np.ndarray:
@@ -225,9 +220,7 @@ def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np
         return x @ y
     if qp_x is None or qp_y is None:
         raise RuntimeError("missing calibration scales for quantized matmul")
-    prepared = _prepares(lut, max(qp_x.bitwidth, qp_y.bitwidth), np.shape(x)[-1])
-    return _dequantized_product(_operand(x, qp_x, lut, 0, prepared),
-                                _operand(y, qp_y, lut, 1, prepared), lut,
+    return _dequantized_product(_operand(x, qp_x, lut, 0), _operand(y, qp_y, lut, 1), lut,
                                 qp_x.scale * qp_y.scale)
 
 
@@ -291,14 +284,6 @@ def layer_norm(x, g, b):
 # ---------------------------------------------------------------------------
 # Transformer building blocks
 # ---------------------------------------------------------------------------
-
-def linear_forward(x, w, b, qp_x, qp_w, lut):
-    """x @ w + b, the matmul on quantized operands through the LUT; in real
-    arithmetic when neither scales nor a LUT are given."""
-    y = _matmul(x, w, qp_x, qp_w, lut)
-    y += b  # y is the matmul's own new array
-    return y
-
 
 def attention_forward(q, k, v, qps, lut):
     """Scaled dot-product attention with approximate integer matmuls.
@@ -415,9 +400,8 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
                 for role, names in _LINEAR_WEIGHTS.items() for w in names}
     weights = {}
     for role, names in _LINEAR_WEIGHTS.items():
-        prepared = _prepares(lut, qps[role].bitwidth, p[pre + names[0]].shape[0])
-        ops = [_operand(p[pre + w], qps[w], lut, 1, prepared) for w in names]
-        if prepared:
+        ops = [_operand(p[pre + w], qps[w], lut, 1) for w in names]
+        if isinstance(ops[0], PreparedOperand):
             w = PreparedOperand(np.concatenate([o.values for o in ops], axis=1),
                                 ops[0].bitwidth, ops[0].k)
             w.values.flags.writeable = False
@@ -464,7 +448,7 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
         if qps is None:
             y = t @ w
         else:
-            a = _operand(t, qps[role], lut, 0, isinstance(w, PreparedOperand))
+            a = _operand(t, qps[role], lut, 0)
             y = _dequantized_product(a, w, lut, scale)
         y += b  # y is the product's own new array
         return y
@@ -563,10 +547,18 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     return logits
 
 
-def check_labels(patches, labels) -> None:
-    """Raises unless labels holds one label per sample of patches."""
-    if np.shape(labels) != np.shape(patches)[:1]:
-        raise ValueError(f"labels of shape {np.shape(labels)} for {len(patches)} samples")
+def check_labels(model: VitModel, patches, labels) -> None:
+    """Raises unless labels holds one of model's classes, an integer in
+    ``[0, num_classes)``, per sample of patches."""
+    labels = np.asarray(labels)
+    if labels.shape != np.shape(patches)[:1]:
+        raise ValueError(f"labels of shape {labels.shape} for {len(patches)} samples")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    n = model.cfg.num_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise ValueError(f"labels span [{labels.min()}, {labels.max()}], "
+                         f"outside the model's {n} classes [0, {n - 1}]")
 
 
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
@@ -574,7 +566,7 @@ def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
     """Top-1 accuracy on the (optionally truncated) labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
-    check_labels(patches, labels)
+    check_labels(model, patches, labels)
     if batch_limit is not None:
         if batch_limit < 1:
             raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")

@@ -111,13 +111,10 @@ class ProductLut:
         lut.truncations = (kx, ky)
         return lut
 
-    def check(self, x):
-        """Raises if an operand is outside the table's signed range."""
-        _check_range(self.bitwidth, x, "operand")
-
     def encode(self, x):
-        """Table indices of the operands; raises if one is out of range."""
-        self.check(x)
+        """Table indices of the operands; raises if one is not an integer or
+        is outside the table's signed range."""
+        _check_range(self.bitwidth, x, "operand")
         # add in intp: the offset does not fit a narrow operand dtype
         return np.add(x, -signed_range(self.bitwidth)[0], dtype=np.intp)
 

@@ -202,7 +202,7 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
     every block output computed here is stored in it, and each block's scales
     and weight operands are built once for all the calls that share the memo.
     """
-    nn.check_labels(probe_patches, probe_labels)
+    nn.check_labels(model, probe_patches, probe_labels)
     n = np.shape(probe_patches)[0]
     if n == 0:
         raise ValueError("empty probe batch")
@@ -356,7 +356,7 @@ def search_model(model, catalog: Catalog, patches, labels, params: SearchParams,
     block output is computed once per assignment prefix (while the memo's
     byte bound keeps it); the results equal those of separate forward passes.
     """
-    nn.check_labels(patches, labels)
+    nn.check_labels(model, patches, labels)
     acu_names = list(acu_names) if acu_names is not None else catalog.names()
     probe_p = np.asarray(patches)[:params.probe_batch_size]
     probe_l = np.asarray(labels)[:params.probe_batch_size]

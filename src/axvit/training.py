@@ -159,7 +159,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
 
 
 def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
-    nn.check_labels(patches, labels)
+    nn.check_labels(model, patches, labels)
     n = patches.shape[0]
     if n == 0:
         raise ValueError("the training set has no samples")
@@ -222,7 +222,7 @@ def _toy_attention_forward(x, w, qps, lut):
     """One attention layer without output projection; qps None runs it in
     real arithmetic. Returns the output and the attention_backward cache."""
     qps = qps or {}
-    q, k, v = (nn.linear_forward(x, w["w" + r], 0.0, qps.get("attn_in"), qps.get("w" + r), lut)
+    q, k, v = (nn._matmul(x, w["w" + r], qps.get("attn_in"), qps.get("w" + r), lut)
                for r in "qkv")
     out, att = nn.attention_forward(q, k, v, qps, lut)
     return out, {"q": q, "k": k, "v": v, "attn": att}

@@ -439,6 +439,24 @@ class TestDatasetFlag:
         assert err == f"axvit {command}: {data}: 100 images but 50 labels\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["init-model", "finetune", "eval"])
+    def test_label_outside_the_classes(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        imgs, labels = dt.synthetic_dataset(64, 1)
+        labels[3] = 200
+        dt.save_idx_images(str(data / "images.idx"), imgs)
+        dt.save_idx_labels(str(data / "labels.idx"), labels)
+        out = tmp_path / "out"
+        argv = {"init-model": ["--train-iters", "2"],
+                "finetune": ["--model", workspace["ckpt"], "--config", "mul8s_1KV6"],
+                "eval": ["--model", workspace["ckpt"], "--config", "mul8s_1KV6"]}[command]
+        assert run(command, "--dataset", str(data), "--out", str(out), *argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"axvit {command}: labels span [0, 200], "
+                       "outside the model's 10 classes [0, 9]\n")
+        assert not out.exists()
+
 
 class TestPowerBaseline:
     def test_catalog_without_builtin_exact_name(self, workspace, tmp_path, capsys):

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from axvit.model import (PreparedOperand, axx_matmul, evaluate_accuracy, prepare_operand,
-                         vit_forward)
+from axvit.model import (PreparedOperand, _prepares, axx_matmul, evaluate_accuracy,
+                         prepare_operand, vit_forward)
 from axvit.multipliers import (MAX_LUT_BITWIDTH, AxMultiplier, Catalog, ProductLut,
                                _truncate, approx_product, approx_products, build_lut,
                                builtin_catalog, load_lut, lut_lookup,
                                parse_multiplier_spec, save_lut)
 from axvit.quant import QuantParams, quantize
 from oracles import (gather_matmul, perforated_product, sign_floor_quantize,
-                     truncated_product)
+                     truncate_operand, truncated_product)
 
 SPECS = ("exact8", "trunc8k1", "trunc8k2", "trunc8k3", "perf8r1", "perf8r2", "perf8r3")
 SPEC_LUTS = {spec: build_lut(parse_multiplier_spec(spec)) for spec in SPECS}
@@ -253,11 +253,12 @@ EXACT8 = parse_multiplier_spec("exact8")
      "operand must be integers, got float64"),
     (lambda: axx_matmul([[2]], [[1.5]], noisy_exact_lut(seed=1)),
      "operand must be integers, got float64"),
-], ids=["products-x", "products-y", "product", "lookup", "lookup-bool", "closed-form",
-        "gather"])
+], ids=["products-x", "products-y", "product", "lookup", "lookup-bool",
+        "behavioral-table", "gather"])
 def test_non_integer_operands_raise(call, message):
-    """Functional mode, lookup and both matmul kernels reject a float operand
-    by its dtype, instead of casting it toward zero or failing inside numpy."""
+    """Functional mode, lookup and the gather, on a behavioral table as on
+    any other, reject a float operand by its dtype, instead of casting it
+    toward zero or failing inside numpy."""
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -304,35 +305,44 @@ def test_saved_behavioral_lut_runs_as_external_multiplier(tmp_path, small_calibr
             == evaluate_accuracy(model, patches, labels, [spec.name] * 2, catalog))
 
 
-def test_exactness_bound_selects_gather():
-    # a table whose truncations disagree with its entries shows which kernel
-    # ran: the closed form gives 1 * 1 = 1, the gather T[1, 1] = -1. |T|
-    # reaches 2**31, so an inner dimension of 2**22 makes K * max|T| = 2**53,
-    # past what float64 sums exactly
+def _oracle_operand(v, bitwidth, k):
+    """Integers v with their k LSBs masked by the bit-level oracle, as the
+    closed form's prepared operand."""
+    values = np.frompyfunc(lambda x: truncate_operand(int(x), bitwidth, k), 1, 1)(v)
+    return PreparedOperand(np.asarray(values, dtype=np.float64), bitwidth, k)
+
+
+def test_prepares_below_the_float64_bound_only():
+    # |T| reaches 2**31, so an inner dimension of 2**22 makes
+    # K * max|T| = 2**53, past what float64 sums exactly
     entries = np.zeros((4, 4), dtype=np.int64)
-    entries[0, 0], entries[3, 3] = -(1 << 31), -1
+    entries[0, 0] = -(1 << 31)
     lut = ProductLut(2, entries)
     lut.truncations = (0, 0)
-    for depth, want in ((2**22 - 1, 1), (2**22, -1)):
-        a = np.zeros((1, depth), dtype=np.int8)
-        a[0, depth // 2] = 1
-        b = np.ones((depth, 1), dtype=np.int8)
-        assert axx_matmul(a, b, lut)[0, 0] == want
+    assert _prepares(lut, 2, 2**22 - 1)
+    assert not _prepares(lut, 2, 2**22)
 
 
 @pytest.mark.parametrize("lut", [SPEC_LUTS["exact8"], noisy_exact_lut(seed=4)],
                          ids=["behavioral", "entries"])
 def test_accumulator_overflow_past_the_static_bound(lut):
     # depth * max|T| passes 2**31 - 1, so the accumulator is scanned: all
-    # -128 sums past int32, mixed signs sum within it and stay exact
+    # -128 sums past int32, mixed signs sum within it and stay exact. A
+    # behavioral table takes prepared operands (its closed form), a table
+    # given by its entries integer ones (the gather)
+    def operands(a, b):
+        if lut.truncations is None:
+            return a, b
+        return _oracle_operand(a, 8, 0), _oracle_operand(b, 8, 0)
+
     depth = 200_000
     a = np.full((1, depth), -128, dtype=np.int8)
     with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
-        axx_matmul(a, np.full((depth, 1), -128, dtype=np.int8), lut)
+        axx_matmul(*operands(a, np.full((depth, 1), -128, dtype=np.int8)), lut)
     b = np.where(np.arange(depth) % 2, 127, -128).astype(np.int8).reshape(depth, 1)
     want = gather_matmul(a, b, lut.entries)
     assert abs(int(want[0, 0])) < 2**31 and depth * lut.max_abs > 2**31
-    assert axx_matmul(a, b, lut).tolist() == want.tolist()
+    assert axx_matmul(*operands(a, b), lut).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("b_lead", [(), (1,)], ids=["row-gather", "step-gather"])
@@ -429,21 +439,21 @@ def test_every_builtin_and_spec_lut_has_truncations(behavioral_lut):
 @settings(max_examples=200, deadline=None)
 @given(spec=st.sampled_from(BEHAVIORAL_SPECS), data=st.data())
 def test_closed_form_equals_gather_and_bit_level_oracles(behavioral_lut, spec, data):
+    # the closed form's operands are the oracle's truncations of the integers
     m = parse_multiplier_spec(spec)
     lut = behavioral_lut(spec)
     shapes = data.draw(hnp.mutually_broadcastable_shapes(
         signature="(m,k),(k,n)->(m,n)", max_dims=2, min_side=0, max_side=5))
-    dtype = data.draw(st.sampled_from((np.int32, np.int8, np.int16, np.uint8)))
     lo, hi = -(1 << (m.bitwidth - 1)), (1 << (m.bitwidth - 1)) - 1
-    lo, hi = max(lo, np.iinfo(dtype).min), min(hi, np.iinfo(dtype).max)
     # truncation keeps -2**(b-1) whole; ±qmax lose the most to it
-    edges = st.sampled_from([v for v in (-(1 << (m.bitwidth - 1)), -hi, hi, 0) if v >= lo])
-    elements = st.one_of(edges, st.integers(lo, hi))
+    elements = st.one_of(st.sampled_from([lo, -hi, hi, 0]), st.integers(lo, hi))
     a_shape, b_shape = shapes.input_shapes
-    a = data.draw(hnp.arrays(dtype, a_shape, elements=elements))
-    b = data.draw(hnp.arrays(dtype, b_shape, elements=elements))
-    got = axx_matmul(a, b, lut)
-    assert got.dtype == np.int32
+    a = data.draw(hnp.arrays(np.int32, a_shape, elements=elements))
+    b = data.draw(hnp.arrays(np.int32, b_shape, elements=elements))
+    kx, ky = lut.truncations
+    got = axx_matmul(_oracle_operand(a, m.bitwidth, kx), _oracle_operand(b, m.bitwidth, ky),
+                     lut)
+    assert got.dtype == np.float64
     assert got.shape == shapes.result_shape
     assert np.array_equal(got, gather_matmul(a, b, lut.entries))
     assert np.array_equal(got, _bit_level_matmul(a, b, m))

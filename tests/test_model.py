@@ -15,6 +15,7 @@ from axvit.model import (
     ACTIVATION_ROLES,
     BATCH,
     _gelu_tanh,
+    _matmul,
     attention_forward,
     attn_weight_qparams,
     axx_matmul,
@@ -23,7 +24,6 @@ from axvit.model import (
     gelu,
     gelu_grad,
     layer_norm,
-    linear_forward,
     refresh_weight_scales,
     softmax,
 )
@@ -87,20 +87,19 @@ class TestBlocks:
     def test_linear_zero_weight_broadcasts_bias(self):
         x = np.random.default_rng(2).normal(size=(4, 6))
         bias = np.arange(3.0)
-        out = linear_forward(x, np.zeros((6, 3)), bias, self.QP, self.QP, EXACT_LUT)
+        out = _matmul(x, np.zeros((6, 3)), self.QP, self.QP, EXACT_LUT) + bias
         assert np.allclose(out, np.broadcast_to(bias, (4, 3)))
 
     def test_linear_exact_lut_equals_int_reference_path(self):
         x = np.random.default_rng(3).normal(size=(4, 6))
         w = np.random.default_rng(4).normal(size=(6, 3))
-        via_lut = linear_forward(x, w, 0.0, self.QP, self.QP, EXACT_LUT)
-        via_ref = linear_forward(x, w, 0.0, self.QP, self.QP, None)
+        via_lut = _matmul(x, w, self.QP, self.QP, EXACT_LUT)
+        via_ref = _matmul(x, w, self.QP, self.QP, None)
         assert np.array_equal(via_lut, via_ref)
 
     def test_linear_requires_scales(self):
         with pytest.raises(RuntimeError, match="calibration"):
-            linear_forward(np.ones((2, 2)), np.ones((2, 2)), 0.0, None, None,
-                           EXACT_LUT)
+            _matmul(np.ones((2, 2)), np.ones((2, 2)), None, None, EXACT_LUT)
 
     def test_attention_single_token(self):
         one = np.array([[1.0]])
@@ -394,6 +393,28 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError, match=r"labels of shape \(200,\) for 64 samples"):
             ax.evaluate_accuracy(small_calibrated_model, patches[:64], labels[:200],
                                  ["mul8s_1KV6"] * 2, catalog, batch_limit=batch_limit)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1, r"labels span \[-1, 9\], outside the model's 10 classes \[0, 9\]"),
+        (10, r"labels span \[0, 10\], outside the model's 10 classes \[0, 9\]"),
+        (None, "labels must be integers, got float64")], ids=["negative", "past", "float"])
+    def test_labels_outside_the_classes(self, small_calibrated_model, toy_data, catalog,
+                                        bad, message):
+        """A label that is no class of the model raises, from evaluate_accuracy
+        and predict_accuracy alike: -1 would otherwise index the last logit,
+        and any label past the classes would count as a wrong prediction."""
+        from axvit import search as se
+
+        patches, labels = toy_data[0][:64], toy_data[1][:64].copy()
+        if bad is None:
+            labels = labels.astype(np.float64)
+        else:
+            labels[5] = bad
+        names = ["mul8s_1KV6"] * 2
+        with pytest.raises(ValueError, match=message):
+            ax.evaluate_accuracy(small_calibrated_model, patches, labels, names, catalog)
+        with pytest.raises(ValueError, match=message):
+            se.predict_accuracy(small_calibrated_model, names, catalog, patches, labels)
 
     def test_batch_limit(self, small_calibrated_model, toy_data, catalog):
         patches, labels = toy_data

@@ -528,16 +528,33 @@ class TestPrefixMemo:
         assert got.pareto == want.pareto
 
 
+def operand_kind(x):
+    """"prepared" for a PreparedOperand, "int" for an integer array, else the
+    type's name."""
+    if isinstance(x, nn.PreparedOperand):
+        return "prepared"
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return "int"
+    return type(x).__name__
+
+
 class TestKernelAccounting:
     """Every quantized block product runs in model.axx_matmul (with a LUT) or
     model.exact_int_matmul (without one): the kernels a tracer counts MACs at
     by those two names."""
 
     @pytest.fixture
-    def macs(self, monkeypatch):
+    def operands(self):
+        """The operand kinds (a, b) of every axx_matmul call."""
+        return []
+
+    @pytest.fixture
+    def macs(self, monkeypatch, operands):
         counted = {"axx_matmul": 0, "exact_int_matmul": 0}
         for name in counted:
             def spy(a, b, *lut, name=name, kernel=getattr(nn, name)):
+                if name == "axx_matmul":
+                    operands.append((operand_kind(a), operand_kind(b)))
                 a_shape, b_shape = np.shape(a), np.shape(b)
                 batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
                 counted[name] += math.prod(batch) * a_shape[-2] * a_shape[-1] * b_shape[-1]
@@ -564,3 +581,26 @@ class TestKernelAccounting:
                             patches[:70], labels[:70])
         want = sum(se.transformer_mac_counts(model.cfg)[0]) * 70
         assert macs == {"axx_matmul": want, "exact_int_matmul": 0}
+
+    @pytest.mark.parametrize("caller", ["vit_forward", "evaluate_accuracy", "predict_accuracy",
+                                        "finetune"])
+    @pytest.mark.parametrize("table, want", [("mul8s_1KV6", ("prepared", "prepared")),
+                                             ("ext", ("int", "int"))],
+                             ids=["behavioral", "entries"])
+    def test_table_picks_the_operands(self, macs, operands, deep, caller, table, want):
+        """A behavioral built-in takes a prepared pair in every axx_matmul
+        call of the forward pass (its closed form), a table given by its
+        entries two integer arrays (the gather)."""
+        model, catalog, patches, labels = deep
+        model, patches, labels = model.copy(), patches[:40], labels[:40]
+        names = [table] * model.cfg.num_layers
+        if caller == "vit_forward":
+            nn.vit_forward(model, patches, [catalog.lut(n) for n in names])
+        elif caller == "evaluate_accuracy":
+            nn.evaluate_accuracy(model, patches, labels, names, catalog)
+        elif caller == "predict_accuracy":
+            se.predict_accuracy(model, names, catalog, patches, labels)
+        else:
+            hp = ax.TrainHyperparams(iterations=2, batch_size=16, data_fraction=1.0)
+            ax.finetune(model, names, patches, labels, hp, catalog)
+        assert macs["axx_matmul"] > 0 and set(operands) == {want}

@@ -88,6 +88,24 @@ class TestFinetune:
             else:
                 tr.train_float(model, patches[:100], labels[:50], hp)
 
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["train_float", "finetune"])
+    def test_negative_label_raises(self, toy_data, catalog, calibrated):
+        """A label of -1 would index the last logit and train toward class 9."""
+        patches, labels = toy_data[0][:64], toy_data[1][:64].copy()
+        labels[5] = -1
+        model = small_model()
+        hp = ax.TrainHyperparams(iterations=2, batch_size=32, data_fraction=1.0)
+        if calibrated:
+            ax.calibrate(model, patches)
+        before = {n: t.copy() for n, t in model.params.items()}
+        with pytest.raises(ValueError, match=r"labels span \[-1, 9\], outside the model's "
+                                             r"10 classes \[0, 9\]"):
+            if calibrated:
+                ax.finetune(model, ["mul8s_1L2H"], patches, labels, hp, catalog)
+            else:
+                tr.train_float(model, patches, labels, hp)
+        assert all(np.array_equal(model.params[n], t) for n, t in before.items())
+
     def test_deterministic_given_seed(self, toy_data, catalog):
         patches, labels = toy_data
         runs = []
