@@ -26,7 +26,7 @@ from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
 CHECKPOINT_MAGIC = b"AXVITCK"
 CHECKPOINT_VERSION = 2
 
-_INT32_MAX = np.int64(2**31 - 1)
+_INT32_MIN, _INT32_MAX = -2**31, 2**31 - 1
 _FLOAT_EXACT_LIMIT = 2**53  # float64 holds every integer of smaller magnitude
 _LN_EPS = 1e-5
 BATCH = 64  # samples per forward pass in evaluation and calibration
@@ -67,8 +67,8 @@ def _check_matmul_shapes(a, b):
 
 
 def _check_int32(acc, kernel: str):
-    """Raises if a sum of the accumulator overflowed 32 bits."""
-    if acc.size and max(acc.max(), -acc.min()) > _INT32_MAX:
+    """Raises if a sum of the accumulator is outside int32's range."""
+    if acc.size and (acc.min() < _INT32_MIN or acc.max() > _INT32_MAX):
         raise OverflowError(f"32-bit accumulator overflow in {kernel}")
 
 
@@ -184,9 +184,24 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     return _to_int32(acc, "axx_matmul")
 
 
+def _max_abs(x) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def exact_int_matmul(a, b) -> np.ndarray:
-    """Exact integer matmul reference with 32-bit accumulators."""
+    """Exact integer matmul reference with 32-bit accumulators; raises if a
+    sum is outside int32. While ``depth * max|a| * max|b| < 2**53``, from the
+    operands' own extremes, every partial sum is an integer float64 holds,
+    so one float64 BLAS matmul gives the exact sums in any order and its
+    float64 accumulator is returned. Past that bound it is an int64
+    ``np.matmul``, returned as int32."""
     a, b = _check_matmul_shapes(a, b)
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise ValueError(f"operands must be integers, got {a.dtype} x {b.dtype}")
+    if a.shape[-1] * _max_abs(a) * _max_abs(b) < _FLOAT_EXACT_LIMIT:
+        acc = np.matmul(a, b, dtype=np.float64)
+        _check_int32(acc, "exact_int_matmul")
+        return acc
     return _to_int32(np.matmul(a.astype(np.int64), b.astype(np.int64)), "exact_int_matmul")
 
 
@@ -202,8 +217,9 @@ def _operand(x, qp: QuantParams, lut, side: int):
 def _dequantized_product(a, b, lut, scale) -> np.ndarray:
     """The product of two quantized operands, through the LUT (or the exact
     reference when ``lut`` is None), times ``scale``: a scalar, or one scale
-    per output column. The closed form's float64 accumulator is scaled in
-    place; an int32 one into a new float64 array."""
+    per output column. A float64 accumulator (the closed form's, or the
+    exact reference's below its float64 bound) is scaled in place; an int32
+    one into a new float64 array."""
     acc = axx_matmul(a, b, lut) if lut is not None else exact_int_matmul(a, b)
     if acc.dtype == np.float64:
         acc *= scale

@@ -35,12 +35,16 @@ def sign_floor_quantize(x, qp):
 def quantized_matmul(x, y, qp_x, qp_y, lut):
     """x @ y on quantized operands: both quantized by sign_floor_quantize,
     every product looked up in the table by gather_matmul (or, with no
-    table, an int64 matmul), and the sums times the product of the scales."""
+    table, an int64 matmul), and the sums times the product of the scales.
+    Raises OverflowError if a sum is outside int32, as a 32-bit accumulator
+    would."""
     qx, qy = sign_floor_quantize(x, qp_x), sign_floor_quantize(y, qp_y)
     if lut is None:
         acc = np.matmul(qx.astype(np.int64), qy.astype(np.int64))
     else:
         acc = gather_matmul(qx, qy, lut.entries)
+    if acc.size and (acc.min() < -2**31 or acc.max() > 2**31 - 1):
+        raise OverflowError("32-bit accumulator overflow")
     return acc * (qp_x.scale * qp_y.scale)
 
 

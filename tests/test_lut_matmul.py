@@ -398,6 +398,46 @@ def test_overflow_just_past_the_static_bound(b_lead):
     assert axx_matmul(a, b, lut).reshape(-1).tolist() == [2**30] * 4
 
 
+INT32_EDGES = [(-2**31, True), (2**31 - 1, True), (-2**31 - 1, False), (2**31, False)]
+
+
+@pytest.mark.parametrize("total, fits", INT32_EDGES)
+def test_closed_form_scan_at_the_int32_edges(total, fits):
+    # 2**18 products of -128 * ±64 sum to ∓2**31 and one of a0 * 1 (a0 is 0
+    # or -1) ends the sum at total; K * max|T| = (2**18 + 1) * 2**14 is past
+    # the static int32 bound, so the float64 accumulator is scanned
+    s = 1 if total < 0 else -1
+    a = np.full((1, 2**18 + 1), -128.0)
+    b = np.full((2**18 + 1, 1), 64.0 * s)
+    a[0, 0], b[0, 0] = total + s * 2**31, 1
+    a, b = PreparedOperand(a, 8, 0), PreparedOperand(b, 8, 0)
+    if fits:
+        assert axx_matmul(a, b, SPEC_LUTS["exact8"]).tolist() == [[total]]
+    else:
+        with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+            axx_matmul(a, b, SPEC_LUTS["exact8"])
+
+
+@pytest.mark.parametrize("b_lead", [(), (1,)], ids=["row-gather", "step-gather"])
+@pytest.mark.parametrize("total, fits", INT32_EDGES)
+def test_gather_scan_at_the_int32_edges(b_lead, total, fits):
+    # T(x, 1) for x = -2..1 is -2**30, 2**30 - 1, -(2**30 + 1), 2**30, so
+    # K * max|T| = 2 * (2**30 + 1) is past the static bound: the int64
+    # accumulator is scanned. a has 2**2 equal rows, so a 2-D b runs the
+    # row gather and b[None] the step gather
+    entries = np.zeros((4, 4), dtype=np.int64)
+    entries[:, 3] = [-2**30, 2**30 - 1, -(2**30 + 1), 2**30]
+    lut = ProductLut(2, entries)
+    row = {-2**31: [-2, -2], 2**31 - 1: [1, -1], -2**31 - 1: [-2, 0], 2**31: [1, 1]}[total]
+    a = np.tile(np.array(row, dtype=np.int8), (4, 1))
+    b = np.ones(b_lead + (2, 1), dtype=np.int8)
+    if fits:
+        assert axx_matmul(a, b, lut).reshape(-1).tolist() == [total] * 4
+    else:
+        with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+            axx_matmul(a, b, lut)
+
+
 BEHAVIORAL_SPECS = tuple(
     spec for b in range(2, MAX_LUT_BITWIDTH + 1)
     for spec in ([f"exact{b}", f"trunc{b}k{b - 1}", f"perf{b}r{b // 2}"] if b > 10 else

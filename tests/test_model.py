@@ -81,6 +81,70 @@ class TestAxxMatmul:
             exact_int_matmul(a, b)
 
 
+@st.composite
+def int_matmul_operands(draw):
+    """Integer operands of 2-16 bits: one matrix pair, a stack against a 2-D
+    b, or two stacks whose leading dims broadcast."""
+    bits = draw(st.integers(2, 16))
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    shape = draw(st.sampled_from(["matrix", "stack-by-matrix", "stack-by-stack"]))
+    lead_a = lead_b = ()
+    if shape != "matrix":
+        lead_a = draw(array_shapes(min_dims=1, max_dims=2, max_side=3))
+    if shape == "stack-by-stack":
+        lead_b = tuple(draw(st.sampled_from((1, d))) for d in lead_a)
+    values = st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    a = draw(arrays(dtype, lead_a + (m, k), elements=values))
+    b = draw(arrays(dtype, lead_b + (k, n), elements=values))
+    return a, b
+
+
+class TestExactIntMatmul:
+    """exact_int_matmul is one float64 BLAS matmul while depth * max|a| *
+    max|b| < 2**53, an int64 one past that, and raises on any sum outside
+    int32 either way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matmul_operands())
+    def test_equals_int64_matmul(self, operands):
+        a, b = operands
+        want = np.matmul(a.astype(np.int64), b.astype(np.int64))
+        if want.size and (want.min() < -2**31 or want.max() > 2**31 - 1):
+            with pytest.raises(OverflowError, match="overflow in exact_int_matmul"):
+                exact_int_matmul(a, b)
+        else:
+            got = exact_int_matmul(a, b)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pad", [0, 2**27], ids=["float64", "int64"])
+    @pytest.mark.parametrize("total, fits", [(-2**31, True), (2**31 - 1, True),
+                                             (-2**31 - 1, False), (2**31, False)])
+    def test_int32_edges(self, pad, total, fits):
+        # products of ±2**54 cancel around total and put the int64 case past
+        # the float64 bound; without them the sum is one product
+        a, b = [[pad, total, -pad]], [[pad], [1], [pad]]
+        if fits:
+            assert exact_int_matmul(a, b).tolist() == [[total]]
+        else:
+            with pytest.raises(OverflowError, match="overflow in exact_int_matmul"):
+                exact_int_matmul(a, b)
+
+    def test_sum_of_int32_min(self):
+        assert exact_int_matmul([[-32768, -32768]], [[32768], [32768]]).tolist() == [[-2**31]]
+
+    def test_partial_sum_past_float64_bound_takes_int64(self):
+        # 2**54 + 1 is no float64, so an unguarded float64 product gives 0
+        a, b = [[2**27, 1, 2**27]], [[2**27], [1], [-2**27]]
+        assert np.matmul(np.array(a, float), np.array(b, float)).tolist() == [[0.0]]
+        got = exact_int_matmul(a, b)
+        assert got.dtype == np.int32 and got.tolist() == [[1]]
+
+    def test_non_integer_operands_raise(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            exact_int_matmul(np.full((2, 2), 1.5), np.ones((2, 2), dtype=np.int32))
+
+
 class TestBlocks:
     QP = QuantParams(scale=0.05, bitwidth=8)
 
@@ -240,6 +304,14 @@ class TestBlocks:
 
 
 # each kernel a block can run: closed form, gather, int64 reference, float
+@pytest.fixture(scope="module")
+def calibrated_16_bit_model(toy_data):
+    model = ax.init_model(ax.ModelConfig(num_layers=2, embed_dim=16, num_heads=2, ffn_dim=32),
+                          seed=3, bitwidth=16)
+    ax.calibrate(model, toy_data[0][:128])
+    return model
+
+
 BLOCK_LUTS = {
     "exact": EXACT_LUT,
     "truncating": TRUNC2_LUT,
@@ -268,6 +340,29 @@ class TestLeanBlock:
         want = block_out_of_place(model, 1, x, qps, lut)
         assert lean.tobytes() == full.tobytes() == want.tobytes()
         assert set(cache) == set(ACTIVATION_ROLES) | {"attn", "ffn_h", "ffn_t", "ln1", "ln2"}
+
+    @settings(max_examples=8, deadline=None)
+    @given(batch=st.integers(1, 2 * BATCH + 3), start=st.integers(0, 1000))
+    def test_16_bit_int_reference_equals_out_of_place(self, calibrated_16_bit_model, toy_data,
+                                                      batch, start):
+        """The int-reference case on a 16-bit model, whose products reach
+        2**30. Block 1 runs on the float output of block 0, the input it was
+        calibrated on; the lean and collected block equal the int64 oracle bit
+        for bit, or all three find a sum outside int32."""
+        model = calibrated_16_bit_model
+        x = block_forward(model, 0, ax.model.embed(model, toy_data[0][start:start + batch]),
+                          None, None)
+        qps = model.block_qps(1)
+
+        def outcome(forward):
+            try:
+                return forward().tobytes()
+            except OverflowError:
+                return "overflow"
+
+        want = outcome(lambda: block_out_of_place(model, 1, x, qps, None))
+        assert outcome(lambda: block_forward(model, 1, x, qps, None)) == want
+        assert outcome(lambda: block_forward(model, 1, x, qps, None, collect=True)[0]) == want
 
     @pytest.mark.parametrize("path", BLOCK_LUTS)
     def test_read_only_input_is_left_unchanged(self, small_calibrated_model, toy_data, path):
