@@ -98,11 +98,11 @@ class PreparedOperand:
 
 
 def prepare_operand(x, qp: QuantParams, k: int = 0) -> PreparedOperand:
-    """x quantized by qp with its k LSBs masked, in one float64 array:
-    quantize's steps (``saturate``), ``np.trunc`` for its cast toward zero,
-    then ``floor(q * 2**-k) * 2**k`` for ``_truncate``'s shifts. Every step
-    is exact on integers below 2**53, so the values equal
-    ``_truncate(quantize(x, qp), k)``."""
+    """x quantized by qp with its k LSBs masked, in one new C-ordered
+    float64 array of x's shape: quantize's steps (``saturate``),
+    ``np.trunc`` for its cast toward zero, then ``floor(q * 2**-k) * 2**k``
+    for ``_truncate``'s shifts. Every step is exact on integers below 2**53,
+    so the values equal ``_truncate(quantize(x, qp), k)``."""
     q = saturate(x, qp)
     np.trunc(q, out=q)
     if k:
@@ -250,9 +250,11 @@ def attn_weight_qparams(bitwidth: int) -> QuantParams:
 # ---------------------------------------------------------------------------
 
 def softmax(x):
-    e = x - x.max(axis=-1, keepdims=True)
+    # the ufuncs' own reductions: x.max and x.sum run these behind Python
+    # wrappers
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -262,9 +264,14 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def _gelu_tanh(x):
     """tanh(sqrt(2/pi) * (x + 0.044715 x^3)), the cube as two products:
     numpy's general power loop is about a hundred times slower, and its
-    last bit depends on the CPU's SIMD dispatch. The tanh runs in place on
-    the new array."""
-    u = _GELU_C * (x + 0.044715 * (x * x * x))
+    last bit depends on the CPU's SIMD dispatch. Each step after the first
+    product, and the tanh, runs in place on its one new array; IEEE sums and
+    products commute, so ``u *= c`` equals ``c * u`` bit for bit."""
+    u = x * x
+    u *= x
+    u *= 0.044715
+    u += x
+    u *= _GELU_C
     return np.tanh(u, out=u) if isinstance(u, np.ndarray) else np.tanh(u)
 
 
@@ -288,11 +295,19 @@ def gelu_grad(x, t=None):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
 
 
+def _row_mean(x):
+    """x.mean(axis=-1, keepdims=True) in numpy's own steps (a sum divided by
+    the count), without its Python wrappers."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
+
+
 def layer_norm(x, g, b):
     # the variance of the centred input, in np.var's own steps; the centred
     # array is then scaled in place, so no second copy of x stays alive
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + _LN_EPS)
     xhat *= inv
     return g * xhat + b, (xhat, inv)
 

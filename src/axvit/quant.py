@@ -138,16 +138,18 @@ def max_scale(values, bitwidth: int) -> QuantParams:
 
 def saturate(x, qp: QuantParams) -> np.ndarray:
     """quantize's steps before the truncation toward zero, in one new
-    float64 array: truncating it gives the quantized integers."""
+    C-ordered float64 array of x's shape: truncating it gives the quantized
+    integers."""
     x = np.asarray(x, dtype=np.float64)
-    # |x| / scale + 0.5, capped at qmax, given x's sign back and truncated
+    # |x / scale| + 0.5, capped at qmax, given x's sign back and truncated
     # toward zero, rounds half away from zero and saturates. IEEE division
     # and addition are sign-symmetric, so this equals
     # clip(trunc(x / scale + copysign(0.5, x)), -qmax, qmax) bit for bit.
-    # Every step writes into one new array (out=, so that 0-d input gives an
-    # array, not a scalar), and x is only read.
-    q = np.abs(x, out=np.empty_like(x))
-    q /= qp.scale
+    # The division writes a new C-ordered array whatever x's strides (a
+    # head-split view or a swapaxes), every later step works in place (out=,
+    # so that 0-d input gives an array, not a scalar), and x is only read.
+    q = np.divide(x, qp.scale, out=np.empty(x.shape))
+    np.abs(q, out=q)
     q += 0.5
     np.minimum(q, qp.qmax, out=q)
     return np.copysign(q, x, out=q)

@@ -64,8 +64,9 @@ class Adam:
         corr1 = 1 - b1**self.t
         corr2 = 1 - b2**self.t
         for k, g in grads.items():
-            m = self.m.setdefault(k, np.zeros_like(g))
-            v = self.v.setdefault(k, np.zeros_like(g))
+            if k not in self.m:  # the moments start at zero on a parameter's first step
+                self.m[k], self.v[k] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self.m[k], self.v[k]
             m += (1 - b1) * (g - m)
             v += (1 - b2) * (g * g - v)
             params[k] -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)

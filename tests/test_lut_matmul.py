@@ -516,6 +516,20 @@ def test_loaded_table_has_no_truncations(tmp_path):
     assert load_lut(path).truncations is None
 
 
+@st.composite
+def head_views(draw, elements):
+    """An operand as the attention quantizes it: one column block of a fused
+    ``[q|k|v]``-like product split into heads, ``(batch, heads, tokens,
+    head_dim)``, or that view's swapaxes (how kᵀ is formed). Both are strided
+    views of the wider array, C-contiguous only where dimensions are 1."""
+    b, n, h, dh = (draw(st.integers(1, 3)) for _ in range(4))
+    parts = draw(st.integers(1, 3))
+    j = draw(st.integers(0, parts - 1))
+    fused = draw(hnp.arrays(np.float64, (b, n, parts * h * dh), elements=elements))
+    heads = fused[..., j * h * dh:(j + 1) * h * dh].reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+    return np.swapaxes(heads, -1, -2) if draw(st.booleans()) else heads
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_quantize_matches_sign_floor_formula(data):
@@ -529,9 +543,13 @@ def test_quantize_matches_sign_floor_formula(data):
                                -2 * qp.clip, np.inf, -np.inf])
     values = st.one_of(special, halves, st.floats(-2 * qp.clip, 2 * qp.clip),
                        st.floats(allow_nan=False))
-    x = data.draw(hnp.arrays(np.float64, st.integers(0, 32), elements=values))
+    x = data.draw(st.one_of(hnp.arrays(np.float64, st.integers(0, 32), elements=values),
+                            head_views(values)))
     with np.errstate(over="ignore"):  # huge |x| / scale saturates via inf
-        assert np.array_equal(quantize(x, qp), sign_floor_quantize(x, qp))
+        got = quantize(x, qp)
+        want = sign_floor_quantize(x, qp)
+    assert got.dtype == np.int32 and got.shape == x.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("x, want", [(-0.0, 0), (0.5, 1), (-0.5, -1), (1.5, 2),
@@ -559,9 +577,10 @@ def test_quantize_leaves_its_input_alone(kind):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_prepared_operand_equals_truncated_quantize(data):
-    """prepare_operand builds in float64 the integers that quantize and
-    _truncate build in int32, over bitwidths 2-16 and every k, with ties,
-    saturation and signed zeros among the inputs."""
+    """prepare_operand builds in float64 the integers that the sign/floor
+    formula and _truncate build in int32, over bitwidths 2-16 and every k,
+    with ties, saturation and signed zeros among the inputs, and in one
+    C-ordered array of the input's shape, strided head views included."""
     bitwidth = data.draw(st.integers(2, 16))
     k = data.draw(st.integers(0, bitwidth - 1))
     scale = data.draw(st.one_of(st.floats(1e-6, 1e3),
@@ -573,13 +592,16 @@ def test_prepared_operand_equals_truncated_quantize(data):
                                -2 * qp.clip, np.inf, -np.inf])
     values = st.one_of(special, halves, st.floats(-2 * qp.clip, 2 * qp.clip),
                        st.floats(allow_nan=False))
-    x = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
-                             elements=values))
+    x = data.draw(st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                   elements=values),
+        head_views(values)))
     with np.errstate(over="ignore"):  # huge |x| / scale saturates via inf
         got = prepare_operand(x, qp, k)
-        want = np.asarray(_truncate(quantize(x, qp), k), dtype=np.float64)
+        want = np.asarray(_truncate(sign_floor_quantize(x, qp), k), dtype=np.float64)
     assert isinstance(got, PreparedOperand) and (got.bitwidth, got.k) == (bitwidth, k)
     assert got.values.dtype == np.float64 and got.shape == x.shape
+    assert got.values.flags.c_contiguous
     # bit for bit once the sign of a zero is dropped: no sum of products shows it
     assert (got.values + 0.0).view(np.int64).tolist() == want.view(np.int64).tolist()
 

@@ -403,6 +403,27 @@ class TestLeanBlock:
         assert lean.nbytes <= lean_held <= lean.nbytes + 1024
         assert full_held > lean.nbytes + sum(a.nbytes for a in (cache["ffn_h"], cache["ffn_t"]))
 
+    @pytest.mark.parametrize("path, cap", [("behavioral", 1_908_090), ("int-reference", 2_137_450)])
+    def test_lean_block_peak_is_capped(self, toy_data, path, cap):
+        """On the default config at a batch of BATCH, the lean block's traced
+        peak stays at or below the bytes measured before operand preparation
+        wrote C-ordered arrays, for the closed form and the integer
+        reference: a new full-size temporary there passes the ratio test
+        above but not this one."""
+        model = ax.init_model(ax.ModelConfig(), seed=0)
+        ax.calibrate(model, toy_data[0][:BATCH])
+        x = ax.model.embed(model, toy_data[0][:BATCH])
+        qps, lut = model.block_qps(0), EXACT_LUT if path == "behavioral" else None
+        block_forward(model, 0, x, qps, lut)  # anything set up lazily
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            block_forward(model, 0, x, qps, lut)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap
+
 
 class TestVitForward:
     def test_all_exact_bit_identical_to_int_reference(self, small_calibrated_model,

@@ -279,3 +279,15 @@ class TestOptimizers:
         for _ in range(3):
             opt.step(params, {"w": np.array([2.0])})
         assert params["w"][0] < 1.0
+
+    def test_adam_allocates_moments_on_first_step_only(self, monkeypatch):
+        """Each parameter's two moments are allocated once, on its first
+        step; later steps update them in place."""
+        calls = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda g: calls.append(g) or zeros_like(g))
+        params = {"w": np.array([1.0, 2.0]), "b": np.array([0.5])}
+        opt = tr.Adam(0.01)
+        for _ in range(3):
+            opt.step(params, {"w": np.array([2.0, -1.0]), "b": np.array([1.0])})
+        assert len(calls) == 4
