@@ -31,10 +31,8 @@ calibrate(model, patches[:256])
 exact = ["mul8s_1KV6"] * model.cfg.num_layers
 approx = ["mul8s_1L2H"] * model.cfg.num_layers
 
-acc_exact = evaluate_accuracy(model, patches, labels, exact, catalog,
-                              batch_limit=512)
-acc_before = evaluate_accuracy(model, patches, labels, approx, catalog,
-                               batch_limit=512)
+acc_exact = evaluate_accuracy(model, patches[:512], labels[:512], exact, catalog)
+acc_before = evaluate_accuracy(model, patches[:512], labels[:512], approx, catalog)
 print(f"quantized baseline accuracy: {acc_exact:.4f}")
 print(f"with 2-bit truncation:       {acc_before:.4f}")
 
@@ -43,8 +41,7 @@ print(f"with 2-bit truncation:       {acc_before:.4f}")
 finetune(model, approx, patches, labels,
          TrainHyperparams(learning_rate=5e-5, iterations=200, batch_size=32,
                           data_fraction=1.0, seed=0), catalog)
-acc_after = evaluate_accuracy(model, patches, labels, approx, catalog,
-                              batch_limit=512)
+acc_after = evaluate_accuracy(model, patches[:512], labels[:512], approx, catalog)
 print(f"after finetuning:            {acc_after:.4f}")
 drop = acc_exact - acc_before
 if drop > 0 and acc_after >= acc_exact:

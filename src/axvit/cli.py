@@ -131,6 +131,13 @@ def _load_inputs(args):
     return model, catalog, patches, labels
 
 
+def _probe(args, patches, labels):
+    """The first ``--probe`` samples and their labels."""
+    if args.probe < 1:
+        raise ValueError(f"--probe must be >= 1, got {args.probe}")
+    return patches[:args.probe], labels[:args.probe]
+
+
 def _parse_config(text: str, num_layers: int, catalog) -> list[str]:
     names = [n.strip() for n in text.split(",")]
     if len(names) == 1:
@@ -220,13 +227,14 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     model, catalog, patches, labels = _load_inputs(args)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
-    acc = nn.evaluate_accuracy(model, patches, labels, config, catalog,
-                               batch_limit=args.probe)
+    if args.probe is not None:
+        patches, labels = _probe(args, patches, labels)
+    acc = nn.evaluate_accuracy(model, patches, labels, config, catalog)
     power = se.power_of_config(config, catalog, model.cfg,
                                se.exact_baseline(catalog, catalog.names()))
     report = {"config": config, "accuracy": acc, "normalized_power": power,
               "power_reduction_pct": se.power_reduction_pct(power),
-              "samples": int(min(len(labels), args.probe) if args.probe else len(labels))}
+              "samples": len(labels)}
     _emit(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -251,10 +259,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     model, catalog, patches, labels = _load_inputs(args)
-    if args.probe < 1:
-        raise ValueError(f"--probe must be >= 1, got {args.probe}")
-    table = se.profile_sensitivity(model, catalog, patches[:args.probe],
-                                   labels[:args.probe])
+    table = se.profile_sensitivity(model, catalog, *_probe(args, patches, labels))
     rows = [[name, i, repr(float(table.s[j, i])), repr(float(table.p[j, i]))]
             for j, name in enumerate(table.acu_names)
             for i in range(table.s.shape[1])]
@@ -269,6 +274,15 @@ def _search_header(args) -> list[str]:
             f"policy={args.policy}", f"seed={args.seed}", f"probe={args.probe}"]
 
 
+_POINT_COLUMNS = ["config", "predicted_accuracy", "normalized_power", "reward"]
+
+
+def _point_fields(pt) -> list[str]:
+    """A search point's ``_POINT_COLUMNS`` fields, as every search CSV writes them."""
+    return ["|".join(pt.config), repr(pt.predicted_accuracy), repr(pt.normalized_power),
+            repr(pt.reward)]
+
+
 def cmd_search(args) -> int:
     model, catalog, patches, labels = _load_inputs(args)
     params = se.SearchParams(lam=args.lam, c=args.c, num_simulations=args.sims,
@@ -279,19 +293,13 @@ def cmd_search(args) -> int:
     header = _search_header(args)
     pareto_keys = {(pt.predicted_accuracy, pt.normalized_power)
                    for pt in result.pareto}
-
-    def point_row(i, pt):
-        on = (pt.predicted_accuracy, pt.normalized_power) in pareto_keys
-        return [i, "|".join(pt.config), repr(pt.predicted_accuracy),
-                repr(pt.normalized_power), repr(pt.reward), str(on).lower()]
-
-    columns = ["simulation_index", "config", "predicted_accuracy",
-               "normalized_power", "reward", "on_pareto"]
+    rows = [[i, *_point_fields(pt),
+             str((pt.predicted_accuracy, pt.normalized_power) in pareto_keys).lower()]
+            for i, pt in enumerate(result.points)]
     _write_text(os.path.join(args.out, "search.csv"), _csv_text(
-        header, columns, [point_row(i, pt) for i, pt in enumerate(result.points)]))
+        header, ["simulation_index", *_POINT_COLUMNS, "on_pareto"], rows))
     _write_text(os.path.join(args.out, "pareto.csv"), _csv_text(
-        header, columns[1:-1],
-        [point_row(0, pt)[1:-1] for pt in result.pareto]))
+        header, _POINT_COLUMNS, map(_point_fields, result.pareto)))
     _write_text(os.path.join(args.out, "rewards.csv"), _csv_text(
         header, ["simulation_index", "reward"],
         [[i, repr(float(r))] for i, r in enumerate(result.rewards)]))
@@ -327,7 +335,7 @@ def cmd_toy(args) -> int:
 def cmd_pareto(args) -> int:
     comments, columns, rows = read_csv(args.search_csv)
     idx = {c: i for i, c in enumerate(columns)}
-    for needed in ("config", "predicted_accuracy", "normalized_power", "reward"):
+    for needed in _POINT_COLUMNS:
         if needed not in idx:
             raise ValueError(f"{args.search_csv} is missing column {needed!r}")
     points = [se.SearchPoint(tuple(r[idx["config"]].split("|")),
@@ -335,12 +343,8 @@ def cmd_pareto(args) -> int:
                              float(r[idx["normalized_power"]]),
                              float(r[idx["reward"]]))
               for r in rows]
-    front = se.pareto_front(points)
-    text = _csv_text([f"{k}={v}" for k, v in comments.items()],
-                     ["config", "predicted_accuracy", "normalized_power", "reward"],
-                     [["|".join(pt.config), repr(pt.predicted_accuracy),
-                       repr(pt.normalized_power), repr(pt.reward)] for pt in front])
-    _emit(args.out, text)
+    _emit(args.out, _csv_text([f"{k}={v}" for k, v in comments.items()], _POINT_COLUMNS,
+                              map(_point_fields, se.pareto_front(points))))
     return 0
 
 

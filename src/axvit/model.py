@@ -413,25 +413,23 @@ _LINEAR_WEIGHTS = {"attn_in": ("wq", "wk", "wv"), "attn_out": ("wo",),
 
 def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
     """Block i's weight operands for ``block_forward`` with these qps and
-    lut: weight name -> (activation role, operand, dequantization scale,
-    bias).
+    lut: activation role -> (operand, dequantization scale, bias) of the
+    weights that read it, ``[wq|wk|wv]`` and ``[bq|bk|bv]`` for ``attn_in``.
 
-    Quantized, each operand is the weight quantized by its scale (prepared
-    for lut's closed form, or int32), and q, k and v share one entry,
-    ``wqkv``: ``[wq|wk|wv]``, with one scale per column, ``sx * sw``, and
-    ``[bq|bk|bv]``. In real arithmetic (qps None) each entry is the model's
-    own weight, with no scale. Quantized operands hold the weights and scales
-    of this moment, so they must not be used after either changes.
+    In real arithmetic (qps None) the operand is the concatenated weights
+    and the scale is None. Quantized, each weight is quantized by its own
+    scale (prepared for lut's closed form, or int32) and the scale holds
+    one value per output column, ``sx * sw``. Operands are read-only copies
+    of the weights and scales of this moment, so they must not be used
+    after either changes.
     """
+    if qps is None and lut is not None:
+        raise RuntimeError("missing calibration scales for quantized matmul")
     p, pre = model.params, f"block{i}."
-    if qps is None:
-        if lut is not None:
-            raise RuntimeError("missing calibration scales for quantized matmul")
-        return {w: (role, p[pre + w], None, p[pre + "b" + w[1:]])
-                for role, names in _LINEAR_WEIGHTS.items() for w in names}
     weights = {}
     for role, names in _LINEAR_WEIGHTS.items():
-        ops = [_operand(p[pre + w], qps[w], lut, 1) for w in names]
+        ops = [p[pre + n] if qps is None else _operand(p[pre + n], qps[n], lut, 1)
+               for n in names]
         if isinstance(ops[0], PreparedOperand):
             w = PreparedOperand(np.concatenate([o.values for o in ops], axis=1),
                                 ops[0].bitwidth, ops[0].k)
@@ -439,10 +437,9 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
         else:
             w = np.concatenate(ops, axis=1)
             w.flags.writeable = False
-        scale = np.concatenate([np.full(p[pre + n].shape[1], qps[role].scale * qps[n].scale)
-                                for n in names])
-        bias = np.concatenate([p[pre + "b" + n[1:]] for n in names])
-        weights["w" + "".join(n[1:] for n in names)] = (role, w, scale, bias)
+        scale = None if qps is None else np.concatenate(
+            [np.full(p[pre + n].shape[1], qps[role].scale * qps[n].scale) for n in names])
+        weights[role] = (w, scale, np.concatenate([p[pre + "b" + n[1:]] for n in names]))
     return weights
 
 
@@ -461,11 +458,9 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
     (ln1, ln2). Intermediates live only when collected: otherwise each one is
     freed at its last use, so a block holds a few activations at a time.
 
-    Quantized, q, k and v are one product of the shared ``attn_in`` operand
-    with ``[wq|wk|wv]``: every output column is an exact integer dot product
-    times its own scale, so they equal three separate products. In real
-    arithmetic they stay three products, whose rounding must not depend on
-    the width of the weight matrix.
+    q, k and v are column blocks of one product of the ``attn_in`` operand
+    with ``[wq|wk|wv]``; quantized, every output column is an exact integer
+    dot product times its own scale, so they equal three separate products.
     """
     p = model.params
     pre = f"block{i}."
@@ -474,8 +469,8 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
     cache = {}
     keep = cache.update if collect else lambda **_: None
 
-    def linear(t, name):
-        role, w, scale, b = weights[name]
+    def linear(t, role):
+        w, scale, b = weights[role]
         if qps is None:
             y = t @ w
         else:
@@ -487,32 +482,27 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
     h, ln1 = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
     keep(ln1=ln1, attn_in=h)
     del ln1
-    if qps is None:
-        qkv = [linear(h, w) for w in _LINEAR_WEIGHTS["attn_in"]]
-    else:
-        y, d = linear(h, "wqkv"), model.cfg.embed_dim
-        qkv = [y[..., j:j + d] for j in range(0, 3 * d, d)]
-        del y
-    q, k, v = (_split_heads(t, model.cfg.num_heads) for t in qkv)
-    del h, qkv
+    y, d = linear(h, "attn_in"), model.cfg.embed_dim
+    q, k, v = (_split_heads(y[..., j:j + d], model.cfg.num_heads) for j in range(0, 3 * d, d))
+    del h, y
     ctx, att = attention_forward(q, k, v, qps, lut)
     keep(q=q, k=k, v=v, attn=att)
     del q, k, v, att
     ctx = _merge_heads(ctx)
-    x = x + linear(ctx, "wo")  # a new array: the input stays as it was
+    x = x + linear(ctx, "attn_out")  # a new array: the input stays as it was
     keep(attn_out=ctx)
     del ctx
     h, ln2 = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
     keep(ln2=ln2, ffn_in=h)
     del ln2
-    hf = linear(h, "w1")
+    hf = linear(h, "ffn_in")
     del h
     t = _gelu_tanh(hf) if collect else None  # lean: gelu's own tanh, formed in place
     keep(ffn_h=hf, ffn_t=t)
     a = gelu(hf, t)
     del hf, t
     keep(ffn_mid=a)
-    x += linear(a, "w2")
+    x += linear(a, "ffn_mid")
     return (x, cache) if collect else x
 
 
@@ -593,15 +583,11 @@ def check_labels(model: VitModel, patches, labels) -> None:
 
 
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
-                      catalog=None, batch_limit=None, batch_size=BATCH) -> float:
-    """Top-1 accuracy on the (optionally truncated) labeled dataset."""
+                      catalog=None, batch_size=BATCH) -> float:
+    """Top-1 accuracy on the labeled dataset."""
     patches = np.asarray(patches)
     labels = np.asarray(labels)
     check_labels(model, patches, labels)
-    if batch_limit is not None:
-        if batch_limit < 1:
-            raise ValueError(f"batch_limit must be >= 1, got {batch_limit}")
-        patches, labels = patches[:batch_limit], labels[:batch_limit]
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if patches.shape[0] == 0:

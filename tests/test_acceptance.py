@@ -258,16 +258,16 @@ def test_criterion_11_finetune_recovers_accuracy(catalog, toy_data, capsys):
                                  data_fraction=1.0, seed=seed)
         tr.train_float(model, patches, labels, hp)
         ax.calibrate(model, patches[:256])
-        acc_exact = ax.evaluate_accuracy(model, patches, labels, exact,
-                                         catalog, batch_limit=512)
-        acc_before = ax.evaluate_accuracy(model, patches, labels, config,
-                                          catalog, batch_limit=512)
+        acc_exact = ax.evaluate_accuracy(model, patches[:512], labels[:512], exact,
+                                         catalog)
+        acc_before = ax.evaluate_accuracy(model, patches[:512], labels[:512], config,
+                                          catalog)
         fhp = ax.TrainHyperparams(optimizer="adam", learning_rate=5e-5,
                                   iterations=200, batch_size=32,
                                   data_fraction=1.0, seed=seed)
         tr.finetune(model, config, patches, labels, fhp, catalog)
-        acc_after = ax.evaluate_accuracy(model, patches, labels, config,
-                                         catalog, batch_limit=512)
+        acc_after = ax.evaluate_accuracy(model, patches[:512], labels[:512], config,
+                                         catalog)
         drop = acc_exact - acc_before
         ratios.append((acc_after - acc_before) / drop if drop > 0 else math.inf)
     elapsed = time.perf_counter() - t0

@@ -14,21 +14,24 @@ from axvit import data as dt
 from axvit.model import (
     ACTIVATION_ROLES,
     BATCH,
+    PreparedOperand,
     _gelu_tanh,
     _matmul,
     attention_forward,
     attn_weight_qparams,
     axx_matmul,
     block_forward,
+    block_weights,
     exact_int_matmul,
     gelu,
     gelu_grad,
     layer_norm,
+    prepare_operand,
     refresh_weight_scales,
     softmax,
 )
 from axvit.multipliers import AxMultiplier, ProductLut, build_lut
-from axvit.quant import HistogramCalibrator, QuantParams
+from axvit.quant import HistogramCalibrator, QuantParams, quantize
 from oracles import (block_out_of_place, gelu_grad_pow, gelu_out_of_place, gelu_pow,
                      layer_norm_var, softmax_out_of_place, truncated_product)
 
@@ -502,13 +505,11 @@ class TestEvaluateAccuracy:
             ax.evaluate_accuracy(small_calibrated_model,
                                  np.zeros((0, 16, 16)), np.zeros(0, int))
 
-    @pytest.mark.parametrize("batch_limit", [None, 32])
-    def test_label_count_mismatch(self, small_calibrated_model, toy_data, catalog,
-                                  batch_limit):
+    def test_label_count_mismatch(self, small_calibrated_model, toy_data, catalog):
         patches, labels = toy_data
         with pytest.raises(ValueError, match=r"labels of shape \(200,\) for 64 samples"):
             ax.evaluate_accuracy(small_calibrated_model, patches[:64], labels[:200],
-                                 ["mul8s_1KV6"] * 2, catalog, batch_limit=batch_limit)
+                                 ["mul8s_1KV6"] * 2, catalog)
 
     @pytest.mark.parametrize("bad, message", [
         (-1, r"labels span \[-1, 9\], outside the model's 10 classes \[0, 9\]"),
@@ -531,14 +532,6 @@ class TestEvaluateAccuracy:
             ax.evaluate_accuracy(small_calibrated_model, patches, labels, names, catalog)
         with pytest.raises(ValueError, match=message):
             se.predict_accuracy(small_calibrated_model, names, catalog, patches, labels)
-
-    def test_batch_limit(self, small_calibrated_model, toy_data, catalog):
-        patches, labels = toy_data
-        full = ax.evaluate_accuracy(small_calibrated_model, patches[:128],
-                                    labels[:128], ["mul8s_1KV6"] * 2, catalog)
-        limited = ax.evaluate_accuracy(small_calibrated_model, patches, labels,
-                                       ["mul8s_1KV6"] * 2, catalog, batch_limit=128)
-        assert full == limited
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_raises(self, small_calibrated_model, toy_data, catalog,
@@ -635,6 +628,53 @@ class TestPreparedOperands:
                 == ax.evaluate_accuracy(fresh, patches, labels, names, catalog) == 1.0)
         assert (se.predict_accuracy(model, names, catalog, patches, labels)
                 == se.predict_accuracy(fresh, names, catalog, patches, labels) == 1.0)
+
+
+# the arithmetics block_weights builds operands for: real, exact integer
+# reference, closed form on prepared operands, gather on int32 operands
+WEIGHT_PATHS = {"float": None, "int-reference": None, "behavioral": TRUNC2_LUT,
+                "entries": ProductLut(8, TRUNC2_LUT.entries)}
+
+
+class TestBlockWeights:
+    """block_weights has one entry per activation role in every arithmetic:
+    the concatenated weights that read it, their per-column scales and
+    their biases."""
+
+    @pytest.mark.parametrize("path", WEIGHT_PATHS)
+    def test_one_read_only_entry_per_role(self, small_calibrated_model, path):
+        model, lut, pre = small_calibrated_model, WEIGHT_PATHS[path], "block1."
+        qps = None if path == "float" else model.block_qps(1)
+        weights = block_weights(model, 1, qps, lut)
+        roles = {"attn_in": "qkv", "attn_out": "o", "ffn_in": "1", "ffn_mid": "2"}
+        assert list(weights) == list(roles)
+        for role, names in roles.items():
+            w, scale, bias = weights[role]
+            ws = [model.params[pre + "w" + n] for n in names]
+            assert bias.tolist() == np.concatenate([model.params[pre + "b" + n]
+                                                    for n in names]).tolist()
+            if qps is None:
+                assert scale is None
+                assert isinstance(w, np.ndarray) and not w.flags.writeable
+                assert w.tobytes() == np.concatenate(ws, axis=1).tobytes()
+                continue
+            assert scale.tolist() == [qps[role].scale * qps["w" + n].scale
+                                      for n, t in zip(names, ws) for _ in range(t.shape[1])]
+            if path == "behavioral":
+                assert isinstance(w, PreparedOperand) and not w.values.flags.writeable
+                want = [prepare_operand(t, qps["w" + n], lut.truncations[1]).values
+                        for n, t in zip(names, ws)]
+                w = w.values
+            else:
+                assert w.dtype == np.int32 and not w.flags.writeable
+                want = [quantize(t, qps["w" + n]) for n, t in zip(names, ws)]
+            assert w.tobytes() == np.concatenate(want, axis=1).tobytes()
+
+    def test_lut_without_scales_raises(self, small_calibrated_model, toy_data):
+        model = small_calibrated_model
+        x = ax.model.embed(model, toy_data[0][:4])
+        with pytest.raises(RuntimeError, match="missing calibration scales"):
+            block_forward(model, 0, x, None, TRUNC2_LUT)
 
 
 class TestCalibrateAndCheckpoint:
