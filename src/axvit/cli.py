@@ -107,6 +107,19 @@ def _load_catalog_arg(args):
     return builtin_catalog()
 
 
+def _spec_count(spec: str, name: str, text: str) -> int:
+    """A non-negative integer field of a synthetic dataset spec; int() and
+    numpy's own errors name no flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"--dataset: {name} must be a non-negative integer, "
+                         f"got {text!r} in {spec!r}")
+    return value
+
+
 def _load_dataset(spec: str):
     """Dataset flag: a directory with images.idx/labels.idx, or
     'synthetic:<num>:<seed>' for the in-tree generator."""
@@ -114,7 +127,8 @@ def _load_dataset(spec: str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"--dataset: expected synthetic:<num>:<seed>, got {spec!r}")
-        imgs, labels = dt.synthetic_dataset(int(parts[1]), int(parts[2]))
+        imgs, labels = dt.synthetic_dataset(_spec_count(spec, "<num>", parts[1]),
+                                            _spec_count(spec, "<seed>", parts[2]))
     else:
         imgs = dt.load_idx_images(os.path.join(spec, "images.idx"))
         labels = dt.load_idx_labels(os.path.join(spec, "labels.idx"))

@@ -15,6 +15,7 @@ import numpy as np
 
 DEFAULT_NUM_BINS = 2048
 DEFAULT_PERCENTILE = 99.9
+_SIGN_BIT = np.int64(-1 << 63)  # the float64 sign bit in an int64 view
 
 
 def signed_range(bitwidth: int) -> tuple[int, int]:
@@ -64,11 +65,15 @@ class HistogramCalibrator:
         self.total = 0
 
     def observe(self, values) -> "HistogramCalibrator":
-        """Accumulate absolute values; grows the range by rebinning if needed."""
-        values = np.asarray(values, dtype=np.float64).ravel()
+        """Accumulate absolute values; grows the range by rebinning if needed.
+
+        The absolute values go straight into one new C-ordered array (a
+        strided head view is copied once, not twice), and ``_bin_counts``
+        bins them on [0, observed_max]: the counts ``np.histogram`` gives."""
+        values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
-        absv = np.abs(values)
+        absv = np.abs(values, out=np.empty(values.shape)).ravel()
         new_max = float(absv.max())
         if not np.isfinite(new_max):  # NaN and ±inf carry through abs and max
             raise ValueError("calibration data contains NaN or Inf")
@@ -77,12 +82,10 @@ class HistogramCalibrator:
                 self.counts = _rebin(self.counts, self.observed_max, new_max)
             self.observed_max = new_max
         if self.observed_max == 0.0:
-            self.counts[0] += values.size  # only zeros seen so far
+            self.counts[0] += absv.size  # only zeros seen so far
         else:
-            hist, _ = np.histogram(absv, bins=self.num_bins,
-                                   range=(0.0, self.observed_max))
-            self.counts += hist
-        self.total += values.size
+            self.counts += _bin_counts(absv, self.observed_max, self.num_bins)
+        self.total += absv.size
         return self
 
     def clip_value(self) -> float:
@@ -101,6 +104,35 @@ class HistogramCalibrator:
 
     def compute_scale(self, bitwidth: int) -> QuantParams:
         return QuantParams.from_clip(self.clip_value(), bitwidth)
+
+
+def _bin_counts(absv: np.ndarray, top: float, num_bins: int) -> np.ndarray:
+    """``np.histogram(absv, num_bins, (0.0, top))[0]`` for finite
+    ``0 <= absv <= top``, with numpy's own steps minus those that range
+    makes unnecessary (the range mask, subtracting the 0.0 edge).
+
+    numpy's bin estimate ``absv / top * num_bins`` is capped at the last
+    bin, which takes ``top`` itself. numpy then moves an estimate one bin
+    down if the value lies below its bin's lower edge and one bin up if it
+    reaches the upper edge, except from the last bin; here the last upper
+    edge is +inf instead. Both tests read the first estimate: the edges rise
+    strictly, so a value below its bin's lower edge is below its upper edge
+    too, and no value moves both ways."""
+    edges = np.linspace(0.0, top, num_bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):  # numpy's check, for a tiny top
+        raise ValueError(f"Too many bins for data range. Cannot create {num_bins} "
+                         "finite-sized bins.")
+    upper = edges[1:].copy()
+    upper[-1] = np.inf
+    est = absv / top
+    est *= num_bins
+    idx = est.astype(np.intp)
+    np.minimum(idx, num_bins - 1, out=idx)
+    up = absv >= upper[idx]
+    down = absv < edges[idx]
+    idx += up
+    idx -= down
+    return np.bincount(idx, minlength=num_bins)
 
 
 def _rebin(counts: np.ndarray, old_max: float, new_max: float) -> np.ndarray:
@@ -139,20 +171,29 @@ def max_scale(values, bitwidth: int) -> QuantParams:
 def saturate(x, qp: QuantParams) -> np.ndarray:
     """quantize's steps before the truncation toward zero, in one new
     C-ordered float64 array of x's shape: truncating it gives the quantized
-    integers."""
+    integers.
+
+    The quotient ``q = x / scale`` loses its sign bit, gets 0.5 added and a
+    cap at qmax, and takes the sign bit back, by integer operations on an
+    int64 view of q: ``|q| + 0.5``, capped and signed, then truncated, rounds
+    half away from zero and saturates."""
     x = np.asarray(x, dtype=np.float64)
-    # |x / scale| + 0.5, capped at qmax, given x's sign back and truncated
-    # toward zero, rounds half away from zero and saturates. IEEE division
-    # and addition are sign-symmetric, so this equals
+    # IEEE division and addition are sign-symmetric, so this equals
     # clip(trunc(x / scale + copysign(0.5, x)), -qmax, qmax) bit for bit.
-    # The division writes a new C-ordered array whatever x's strides (a
-    # head-split view or a swapaxes), every later step works in place (out=,
-    # so that 0-d input gives an array, not a scalar), and x is only read.
+    # Division by a positive scale keeps x's sign bit, NaN and -0.0 included,
+    # so the bits equal abs and copysign's. The division writes a new
+    # C-ordered array whatever x's strides (a head-split view or a swapaxes),
+    # every later step works in place (out=, so that 0-d input gives an
+    # array, not a scalar), and x is only read. The saved sign is one int64
+    # temporary, freed on return.
     q = np.divide(x, qp.scale, out=np.empty(x.shape))
-    np.abs(q, out=q)
+    bits = q.view(np.int64)
+    sign = bits & _SIGN_BIT
+    bits ^= sign
     q += 0.5
     np.minimum(q, qp.qmax, out=q)
-    return np.copysign(q, x, out=q)
+    bits |= sign
+    return q
 
 
 def quantize(x, qp: QuantParams) -> np.ndarray:

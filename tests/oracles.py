@@ -242,3 +242,38 @@ def probe_accuracy(model, assignment, catalog, patches, labels, batch=64):
         logits = xs[-1].mean(axis=1) @ model.params["head.w"] + model.params["head.b"]
         correct += int((logits.argmax(axis=1) == labels[start:start + batch]).sum())
     return correct / len(patches)
+
+
+def copysign_saturate(x, qp):
+    """quantize's steps before the cast toward zero by abs and copysign:
+    |x / scale| + 0.5, capped at qmax, given x's sign back."""
+    q = np.abs(np.asarray(x, dtype=np.float64) / qp.scale) + 0.5
+    return np.copysign(np.minimum(q, qp.qmax), x)
+
+
+class NumpyHistogramCalibrator:
+    """The calibrator's running |value| histogram by np.histogram over
+    [0, observed_max], rebinned by rebin_loop when a batch raises the
+    maximum; zeros seen before the first nonzero value stay in bin 0."""
+
+    def __init__(self, num_bins):
+        self.num_bins = num_bins
+        self.observed_max = 0.0
+        self.counts = np.zeros(num_bins)
+        self.total = 0
+
+    def observe(self, values):
+        absv = np.abs(np.asarray(values, dtype=np.float64)).ravel()
+        if absv.size == 0:
+            return self
+        new_max = float(absv.max())
+        if new_max > self.observed_max:
+            if self.observed_max > 0.0:
+                self.counts = rebin_loop(self.counts, self.observed_max, new_max)
+            self.observed_max = new_max
+        if self.observed_max == 0.0:
+            self.counts[0] += absv.size
+        else:
+            self.counts += np.histogram(absv, self.num_bins, (0.0, self.observed_max))[0]
+        self.total += absv.size
+        return self

@@ -420,6 +420,29 @@ class TestDatasetFlag:
         err = capsys.readouterr().err
         assert err.startswith("axvit eval: --dataset: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["init-model", "eval"])
+    @pytest.mark.parametrize("spec, field, text", [
+        ("synthetic:x:1", "<num>", "x"),
+        ("synthetic::1", "<num>", ""),
+        ("synthetic:2.5:1", "<num>", "2.5"),
+        ("synthetic:-5:1", "<num>", "-5"),
+        ("synthetic:64:x", "<seed>", "x"),
+        ("synthetic:64:1e3", "<seed>", "1e3"),
+        ("synthetic:64:-1", "<seed>", "-1"),
+    ])
+    def test_bad_synthetic_field(self, workspace, tmp_path, capsys, command, spec, field,
+                                 text):
+        """A non-integer or negative <num> or <seed> names the flag, not an
+        int() literal or numpy's shape or seed error."""
+        out = tmp_path / "out"
+        argv = {"init-model": ["--train-iters", "2", "--out", str(out)],
+                "eval": ["--model", workspace["ckpt"], "--config", "mul8s_1KV6"]}[command]
+        assert run(command, "--dataset", spec, *argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"axvit {command}: --dataset: {field} must be a non-negative "
+                       f"integer, got {text!r} in {spec!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["init-model", "finetune", "eval"])
     def test_image_label_count_mismatch(self, workspace, tmp_path, capsys, command):
         data = tmp_path / "data"

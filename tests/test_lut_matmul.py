@@ -17,9 +17,9 @@ from axvit.multipliers import (MAX_LUT_BITWIDTH, AxMultiplier, Catalog, ProductL
                                _truncate, approx_product, approx_products, build_lut,
                                builtin_catalog, load_lut, lut_lookup,
                                parse_multiplier_spec, save_lut)
-from axvit.quant import QuantParams, quantize
-from oracles import (gather_matmul, perforated_product, sign_floor_quantize,
-                     truncate_operand, truncated_product)
+from axvit.quant import QuantParams, quantize, saturate
+from oracles import (copysign_saturate, gather_matmul, perforated_product,
+                     sign_floor_quantize, truncate_operand, truncated_product)
 
 SPECS = ("exact8", "trunc8k1", "trunc8k2", "trunc8k3", "perf8r1", "perf8r2", "perf8r3")
 SPEC_LUTS = {spec: build_lut(parse_multiplier_spec(spec)) for spec in SPECS}
@@ -556,6 +556,53 @@ def test_quantize_matches_sign_floor_formula(data):
                                      (-2.5, -3), (127.0, 127), (-200.0, -127)])
 def test_quantize_rounds_half_away_from_zero(x, want):
     assert quantize(np.array([x]), QuantParams(scale=1.0, bitwidth=8))[0] == want
+
+
+# quiet and signalling NaNs of both signs, with and without a payload
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                 0xFFF80000DEADBEEF, 0x7FF4000000000000, 0xFFF0000000000001],
+                dtype=np.uint64).view(np.float64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_saturate_matches_copysign_bit_for_bit(data):
+    """saturate gives back the sign by integer bit operations; the abs and
+    copysign formulation gives the same bits for every value, NaNs (both
+    signs, with payloads) and -0.0 included: exact ties (k + 0.5)·scale,
+    quotients one ulp below 2^e - 0.5 (e = 0 is the one where |q| + 0.5
+    rounds up), infinities, in contiguous, strided head-view, swapaxes and
+    0-d input."""
+    bitwidth = data.draw(st.integers(2, 16))
+    scale = data.draw(st.one_of(st.floats(1e-6, 1e3),
+                                st.integers(-20, 10).map(lambda e: 2.0**e)))
+    qp = QuantParams(scale=scale, bitwidth=bitwidth)
+    qmax = qp.qmax
+    halves = st.integers(-2 * qmax, 2 * qmax).map(lambda k: (k + 0.5) * scale)
+    below = st.tuples(st.integers(0, bitwidth), st.sampled_from([1.0, -1.0])).map(
+        lambda es: es[1] * float(np.nextafter(2.0**es[0] - 0.5, 0.0)) * scale)
+    special = st.sampled_from([0.0, -0.0, qp.clip, -qp.clip, 2 * qp.clip, -2 * qp.clip,
+                               np.inf, -np.inf, *NANS])
+    values = st.one_of(special, halves, below, st.floats(-2 * qp.clip, 2 * qp.clip),
+                       st.floats())
+    x = data.draw(st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                   elements=values),
+        head_views(values)))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge |x|, signalling NaNs
+        got = saturate(x, qp)
+        want = copysign_saturate(x, qp)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == x.shape and got.flags.c_contiguous
+    assert got.view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -0.2, np.nextafter(-0.5, 0.0), -np.inf, *NANS])
+def test_saturate_0d_keeps_the_sign_bits(x):
+    qp = QuantParams(scale=1.0, bitwidth=8)
+    with np.errstate(invalid="ignore"):  # signalling NaNs
+        got, want = saturate(np.array(x), qp), copysign_saturate(np.array(x), qp)
+    assert got.shape == () and got.view(np.int64) == np.asarray(want).view(np.int64)
 
 
 @pytest.mark.parametrize("kind", ["contiguous", "swapaxes", "0-d", "python float"])

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from axvit.quant import (
     HistogramCalibrator,
     QuantParams,
+    _bin_counts,
     _rebin,
     dequantize,
     fake_quant,
@@ -15,7 +16,7 @@ from axvit.quant import (
     quantize,
     save_scale_map,
 )
-from oracles import rebin_loop
+from oracles import NumpyHistogramCalibrator, rebin_loop
 
 
 class TestQuantParams:
@@ -134,6 +135,112 @@ class TestCalibrator:
         small = HistogramCalibrator(percentile=100.0).observe(np.array([1.0]))
         large = HistogramCalibrator(percentile=100.0).observe(np.array([4.0]))
         assert large.compute_scale(8).scale > small.compute_scale(8).scale
+
+
+SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+
+
+def edge_heavy_values(rng, size, top, num_bins):
+    """``size`` values in [0, top], most of them on np.histogram's linspace
+    edges or one ulp either side, the rest 0.0, ``top`` or uniform."""
+    # near the largest float, linspace's last product overflows before
+    # linspace sets the end point to top, and the ulp above top is inf
+    with np.errstate(over="ignore"):
+        edges = np.linspace(0.0, top, num_bins + 1)
+        on = edges[rng.integers(0, num_bins + 1, size)]
+        above = np.nextafter(on, np.inf)
+    kind = rng.integers(0, 6, size)
+    v = np.select([kind == 1, kind == 2, kind == 3, kind == 4, kind == 5],
+                  [np.nextafter(on, 0.0), above, 0.0, top, rng.random(size) * top], on)
+    return np.clip(v, 0.0, top)
+
+
+class TestBinCounts:
+    """_bin_counts against np.histogram on [0, top], the call it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_bins=st.sampled_from([1, 2, 2048, 4096]) | st.integers(1, 4096),
+           top=st.sampled_from([1.0, 3.7, 4096 * SMALLEST_SUBNORMAL, np.finfo(float).max])
+           | st.floats(SMALLEST_SUBNORMAL, 2.2e-308)  # subnormal
+           | st.floats(1e-300, 1e300) | st.floats(1e300, np.finfo(float).max),
+           size=st.sampled_from([0, 1, 65535, 65536, 65537, 70000]) | st.integers(0, 70000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(num_bins=2, top=SMALLEST_SUBNORMAL, size=10, seed=0)  # linspace's step == 0
+    @example(num_bins=4096, top=4096 * SMALLEST_SUBNORMAL, size=70000, seed=1)
+    @example(num_bins=1, top=np.finfo(float).max, size=65537, seed=2)
+    def test_equals_np_histogram(self, num_bins, top, size, seed):
+        """Edge-heavy values, subnormal and huge tops, 1-4096 bins, and sizes
+        across np.histogram's 65,536-value block. Where the linspace edges do
+        not rise strictly (a subnormal top with more bins than it has ulps),
+        np.histogram raises, and so does _bin_counts."""
+        v = edge_heavy_values(np.random.default_rng(seed), size, top, num_bins)
+        with np.errstate(over="ignore"):  # linspace near the largest float
+            try:
+                want = np.histogram(v, num_bins, (0.0, top))[0]
+            except ValueError as exc:
+                assert "Too many bins" in str(exc)
+                with pytest.raises(ValueError, match="Too many bins"):
+                    _bin_counts(v, top, num_bins)
+                return
+            got = _bin_counts(v, top, num_bins)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_top_lands_in_the_last_bin(self):
+        got = _bin_counts(np.array([0.0, 0.5, 1.0, 1.0]), 1.0, 4)
+        assert got.tolist() == [1, 0, 1, 2]
+
+
+@st.composite
+def observe_batches(draw):
+    """A sequence of calibration batches: all-zero batches first or not,
+    then batches whose maxima rise, fall or repeat, some of them strided
+    head views of a fused [q|k|v]-like array (or their swapaxes)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = [np.zeros(draw(st.integers(1, 50))) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(1, 6))):
+        scale = draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0, 40.0]))
+        b, n, h, dh = (draw(st.integers(1, 4)) for _ in range(4))
+        fused = rng.normal(0.0, scale, size=(b, n, 3 * h * dh))
+        if draw(st.booleans()):
+            fused[rng.random(fused.shape) < 0.2] = 0.0
+        view = draw(st.sampled_from(["whole", "head", "swapaxes"]))
+        if view == "whole":
+            batches.append(fused)
+        else:
+            j = draw(st.integers(0, 2))
+            heads = fused[..., j * h * dh:(j + 1) * h * dh].reshape(b, n, h, dh)
+            heads = heads.transpose(0, 2, 1, 3)
+            batches.append(np.swapaxes(heads, -1, -2) if view == "swapaxes" else heads)
+    return batches
+
+
+class TestObserveMatchesNpHistogram:
+    @settings(max_examples=60, deadline=None)
+    @given(batches=observe_batches(), num_bins=st.sampled_from([1, 7, 64, 2048]),
+           percentile=st.sampled_from([50.0, 99.9, 100.0]))
+    def test_same_state_and_scale(self, batches, num_bins, percentile):
+        """observe and the np.histogram-based oracle agree bit for bit on
+        counts, maximum and total after every batch, and on the scale."""
+        cal = HistogramCalibrator(num_bins, percentile)
+        ref = NumpyHistogramCalibrator(num_bins)
+        for batch in batches:
+            cal.observe(batch)
+            ref.observe(batch)
+            assert cal.counts.view(np.int64).tolist() == ref.counts.view(np.int64).tolist()
+            assert (cal.observed_max, cal.total) == (ref.observed_max, ref.total)
+        from_ref = HistogramCalibrator(num_bins, percentile)
+        from_ref.counts, from_ref.observed_max, from_ref.total = (ref.counts, ref.observed_max,
+                                                                  ref.total)
+        if ref.observed_max > 0.0:
+            assert cal.compute_scale(8) == from_ref.compute_scale(8)
+
+    def test_strided_input_is_left_alone(self):
+        fused = np.random.default_rng(4).normal(size=(2, 3, 12))
+        before = fused.tobytes()
+        heads = fused[..., 4:8].reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
+        cal = HistogramCalibrator(16).observe(heads)
+        assert fused.tobytes() == before
+        assert cal.observed_max == float(np.abs(fused[..., 4:8]).max()) and cal.total == 24
 
 
 class TestQuantizeDequantize:
