@@ -20,6 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .multipliers import MAX_LUT_BITWIDTH
 from .quant import (DEFAULT_NUM_BINS, DEFAULT_PERCENTILE, HistogramCalibrator,
                     QuantParams, max_scale, quantize, saturate)
 
@@ -143,10 +144,11 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     step:
 
     - the row slab, when ``b`` is one matrix (2-D) shared by at least
-      ``2**lut.bitwidth`` rows of ``a``: ``T[:, b[t]]`` holds the products of
-      ``b``'s row ``t`` with every operand value, and each row of ``a`` picks
-      its own. That slice has no more entries than the output slab, and no
-      table of every weight's products is ever built;
+      ``2**lut.bitwidth`` rows of ``a``: ``T[lo_t:hi_t + 1, b[t]]`` holds the
+      products of ``b``'s row ``t`` with every value that ``a``'s column
+      ``t`` spans, ``lo_t`` to ``hi_t`` (both read once per call), and each
+      row of ``a`` picks its own. That slice has no more entries than the
+      output slab, and no table of every weight's products is ever built;
     - the flat lookup otherwise (batched ``b``, such as attention scores, or
       fewer rows): ``T[a[..., t], b[t]]`` directly, so temporaries stay the
       size of the output.
@@ -172,9 +174,16 @@ def axx_matmul(a, b, lut) -> np.ndarray:
     acc = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
                    + (a.shape[-2], b.shape[-1]),
                    dtype=np.int32 if bound <= _INT32_MAX else np.int64)
-    if b.ndim == 2 and math.prod(a.shape[:-1]) >= 1 << lut.bitwidth:
-        for t in range(depth):
-            acc += lut.entries.take(eb[t], axis=1).take(ea[..., t], axis=0)
+    m = math.prod(a.shape[:-1])  # rows of a in all
+    if b.ndim == 2 and m >= 1 << lut.bitwidth:
+        # step t reads only the table rows that a's column t reaches, lo..hi;
+        # acc is new and C-ordered, so out is a view of it
+        cols, out = ea.reshape(m, depth), acc.reshape(m, b.shape[-1])
+        lo = np.minimum.reduce(cols, axis=0)
+        hi = np.maximum.reduce(cols, axis=0) + 1
+        cols -= lo
+        for t, (r0, r1) in enumerate(zip(lo.tolist(), hi.tolist())):
+            out += lut.entries[r0:r1].take(eb[t], axis=1).take(cols[:, t], axis=0)
     else:
         flat, rows = lut.entries.ravel(), ea << lut.bitwidth
         for t in range(depth):
@@ -355,8 +364,10 @@ class VitModel:
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray],
                  scales: dict[str, float] | None = None, bitwidth: int = 8):
-        if type(bitwidth) is not int or not 2 <= bitwidth <= 16:
-            raise ValueError(f"bitwidth must be an integer in [2, 16], got {bitwidth!r}")
+        # at most the table cap, so every model has an exact table
+        if type(bitwidth) is not int or not 2 <= bitwidth <= MAX_LUT_BITWIDTH:
+            raise ValueError(f"bitwidth must be an integer in [2, {MAX_LUT_BITWIDTH}], "
+                             f"got {bitwidth!r}")
         self.cfg = cfg
         self.params = params
         self.scales = scales

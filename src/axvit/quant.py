@@ -63,13 +63,17 @@ class HistogramCalibrator:
         self.observed_max = 0.0
         self.counts = np.zeros(num_bins, dtype=np.float64)
         self.total = 0
+        self._edges = None  # _bin_edges(observed_max, num_bins) once it is > 0
 
     def observe(self, values) -> "HistogramCalibrator":
         """Accumulate absolute values; grows the range by rebinning if needed.
 
         The absolute values go straight into one new C-ordered array (a
         strided head view is copied once, not twice), and ``_bin_counts``
-        bins them on [0, observed_max]: the counts ``np.histogram`` gives."""
+        bins them on [0, observed_max]: the counts ``np.histogram`` gives.
+        The bin edges are built only when the maximum rises, and before any
+        state changes, so a batch that is rejected leaves the calibrator as
+        it was."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
@@ -78,13 +82,14 @@ class HistogramCalibrator:
         if not np.isfinite(new_max):  # NaN and ±inf carry through abs and max
             raise ValueError("calibration data contains NaN or Inf")
         if new_max > self.observed_max:
+            edges = _bin_edges(new_max, self.num_bins)
             if self.observed_max > 0.0:  # zeros seen so far stay in bin 0
                 self.counts = _rebin(self.counts, self.observed_max, new_max)
-            self.observed_max = new_max
+            self.observed_max, self._edges = new_max, edges
         if self.observed_max == 0.0:
             self.counts[0] += absv.size  # only zeros seen so far
         else:
-            self.counts += _bin_counts(absv, self.observed_max, self.num_bins)
+            self.counts += _bin_counts(absv, self.observed_max, self._edges)
         self.total += absv.size
         return self
 
@@ -106,10 +111,25 @@ class HistogramCalibrator:
         return QuantParams.from_clip(self.clip_value(), bitwidth)
 
 
-def _bin_counts(absv: np.ndarray, top: float, num_bins: int) -> np.ndarray:
+def _bin_edges(top: float, num_bins: int) -> np.ndarray:
+    """``np.histogram``'s ``num_bins + 1`` bin edges on [0, top], the
+    ``np.linspace(0.0, top, num_bins + 1)`` edges with the last one +inf: bin
+    i spans ``edges[i]`` to ``edges[i + 1]``, and the last bin takes top
+    itself. Raises numpy's error where the edges do not rise strictly (a
+    tiny top)."""
+    edges = np.linspace(0.0, top, num_bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):  # numpy's check
+        raise ValueError(f"Too many bins for data range. Cannot create {num_bins} "
+                         "finite-sized bins.")
+    edges[-1] = np.inf
+    return edges
+
+
+def _bin_counts(absv: np.ndarray, top: float, edges: np.ndarray) -> np.ndarray:
     """``np.histogram(absv, num_bins, (0.0, top))[0]`` for finite
-    ``0 <= absv <= top``, with numpy's own steps minus those that range
-    makes unnecessary (the range mask, subtracting the 0.0 edge).
+    ``0 <= absv <= top``, given ``edges = _bin_edges(top, num_bins)``, with
+    numpy's own steps minus those that range makes unnecessary (the range
+    mask, subtracting the 0.0 edge).
 
     numpy's bin estimate ``absv / top * num_bins`` is capped at the last
     bin, which takes ``top`` itself. numpy then moves an estimate one bin
@@ -118,17 +138,13 @@ def _bin_counts(absv: np.ndarray, top: float, num_bins: int) -> np.ndarray:
     edge is +inf instead. Both tests read the first estimate: the edges rise
     strictly, so a value below its bin's lower edge is below its upper edge
     too, and no value moves both ways."""
-    edges = np.linspace(0.0, top, num_bins + 1)
-    if np.any(edges[:-1] >= edges[1:]):  # numpy's check, for a tiny top
-        raise ValueError(f"Too many bins for data range. Cannot create {num_bins} "
-                         "finite-sized bins.")
-    upper = edges[1:].copy()
-    upper[-1] = np.inf
+    num_bins = edges.size - 1
     est = absv / top
     est *= num_bins
     idx = est.astype(np.intp)
+    del est
     np.minimum(idx, num_bins - 1, out=idx)
-    up = absv >= upper[idx]
+    up = absv >= edges[1:][idx]
     down = absv < edges[idx]
     idx += up
     idx -= down

@@ -87,8 +87,7 @@ def _layer_norm_backward(dy, cache, g):
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - nn._row_mean(dxhat) - xhat * nn._row_mean(dxhat * xhat))
     return dx, dg, db
 
 

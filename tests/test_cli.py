@@ -285,12 +285,13 @@ class TestInitModel:
         assert err == f"axvit {command}: the training set has no samples\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("bitwidth", ["1", "40"])
+    @pytest.mark.parametrize("bitwidth", ["1", "13", "40"])
     def test_bitwidth_out_of_range(self, tmp_path, capsys, bitwidth):
+        # the model's bitwidth stops at the table cap, 12 bits
         out = tmp_path / "m.ckpt"
         assert run("init-model", "--out", str(out), "--bitwidth", bitwidth) == 1
         err = capsys.readouterr().err
-        assert err == f"axvit init-model: bitwidth must be an integer in [2, 16], got {bitwidth}\n"
+        assert err == f"axvit init-model: bitwidth must be an integer in [2, 12], got {bitwidth}\n"
         assert not out.exists()
 
 

@@ -164,14 +164,15 @@ def test_batched_b_runs_the_step_gather(a_shape, b_shape):
 
 
 class _TakeLog(np.ndarray):
-    """An array that logs the axis of every ``take`` made from it or from
-    the arrays it begets (views, flattenings, take results)."""
+    """An array that logs the axis and the row count of every ``take`` made
+    from it or from the arrays it begets (views, row slices, flattenings,
+    take results)."""
 
     def __array_finalize__(self, obj):
-        self.axes = getattr(obj, "axes", None)
+        self.log = getattr(obj, "log", None)
 
     def take(self, indices, axis=None, **kwargs):
-        self.axes.append(axis)
+        self.log.append((axis, self.shape[0]))
         return super().take(indices, axis=axis, **kwargs)
 
 
@@ -180,23 +181,82 @@ class _TakeLog(np.ndarray):
     (a, b, False) for a, b in ATTENTION_SHAPES],
     ids=WEIGHT_SHAPE_IDS + ["finetune-attention", "search-scores", "search-attn-v"])
 def test_benchmark_shapes_reach_their_gather(a_shape, b_shape, row_slab):
-    # the weight matmuls take one 2**b x N column slice per inner index
-    # (axis 1); the attention matmuls look products up in the flat table
-    # (no axis), one M x N slab per inner index
+    # the weight matmuls take, per inner index t, a column slice (axis 1) of
+    # the table rows that a's column t reaches, hi_t - lo_t + 1 of them; the
+    # attention matmuls look products up in the flat table (no axis), one
+    # M x N slab per inner index. Each column of a spans its own band, so a
+    # slice of all 2**b rows would show
     lut = noisy_exact_lut(seed=11)
     table = lut.entries.view(_TakeLog)
-    table.axes = []
+    table.log = []
     lut.entries = table
     rng = np.random.default_rng(12)
-    a = rng.integers(-128, 128, size=a_shape, dtype=np.int32)
+    width = rng.integers(0, 128, size=a_shape[-1])
+    a = rng.integers(-width - 1, width + 1, size=a_shape).astype(np.int32)
     b = rng.integers(-128, 128, size=b_shape, dtype=np.int32)
     got = axx_matmul(a, b, lut)
     depth = a_shape[-1]
+    axes = [axis for axis, _ in table.log]
     if row_slab:
-        assert table.axes.count(1) == depth and None not in table.axes
+        cols = a.reshape(-1, depth)
+        spans = (cols.max(axis=0) - cols.min(axis=0) + 1).tolist()
+        assert [rows for axis, rows in table.log if axis == 1] == spans
+        assert max(spans) < 1 << lut.bitwidth and None not in axes
     else:
-        assert table.axes == [None] * depth
+        assert axes == [None] * depth
     assert np.array_equal(got, gather_matmul(a, b, np.asarray(lut.entries)))
+
+
+@st.composite
+def banded_operands(draw, bitwidth):
+    """a for the row slab, at least 2**b rows in all, maybe stacked or
+    F-ordered: each of its columns spans one value, a narrow band away from
+    both ends of the table, or the whole signed range."""
+    n = 1 << bitwidth
+    lo, hi = -(n >> 1), (n >> 1) - 1
+    rows, depth = draw(st.integers(n, 2 * n)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.empty((rows, depth), dtype=np.int32)
+    for t in range(depth):
+        kind = draw(st.sampled_from(("one", "band", "full")))
+        if kind == "one":
+            a[:, t] = draw(st.integers(lo, hi))
+        elif kind == "band":
+            first = draw(st.integers(lo + 1, hi - 1))
+            last = draw(st.integers(first, min(first + 3, hi - 1)))
+            a[:, t] = rng.integers(first, last + 1, size=rows)
+        else:
+            a[:, t] = rng.integers(lo, hi + 1, size=rows)
+            a[rng.choice(rows, 2, replace=False), t] = lo, hi
+    lead = draw(st.sampled_from([d for d in (1, 2, 3, 4) if rows % d == 0]))
+    if lead > 1:
+        a = a.reshape(lead, rows // lead, depth)
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@settings(max_examples=150, deadline=None)
+@given(bitwidth=st.integers(2, 8), wide=st.booleans(), data=st.data())
+def test_sliced_row_slab_equals_gather_oracle(bitwidth, wide, data):
+    # a wide table has one entry of 2**30, so any depth past 1 is past the
+    # static int32 bound: its accumulator is int64 and scanned, and a sum
+    # outside int32 raises where the oracle's int64 sum leaves it
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    lut = noisy_exact_lut(seed, bitwidth)
+    if wide:
+        entries = np.array(lut.entries, dtype=np.int64)
+        entries[0, 0] = 1 << 30
+        lut = ProductLut(bitwidth, entries)
+    a = data.draw(banded_operands(bitwidth))
+    n = 1 << bitwidth
+    b = np.random.default_rng(seed).integers(-(n >> 1), n >> 1,
+                                             size=(a.shape[-1], data.draw(st.integers(1, 5))))
+    want = gather_matmul(a, b, lut.entries)
+    if want.min() < -2**31 or want.max() > 2**31 - 1:
+        with pytest.raises(OverflowError, match="accumulator overflow in axx_matmul"):
+            axx_matmul(a, b, lut)
+        return
+    got = axx_matmul(a, b, lut)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def _peak_bytes(call):

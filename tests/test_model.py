@@ -30,7 +30,7 @@ from axvit.model import (
     refresh_weight_scales,
     softmax,
 )
-from axvit.multipliers import AxMultiplier, ProductLut, build_lut
+from axvit.multipliers import MAX_LUT_BITWIDTH, AxMultiplier, ProductLut, build_lut
 from axvit.quant import HistogramCalibrator, QuantParams, quantize
 from oracles import (block_out_of_place, gelu_grad_pow, gelu_out_of_place, gelu_pow,
                      layer_norm_var, softmax_out_of_place, truncated_product)
@@ -87,7 +87,10 @@ class TestAxxMatmul:
 @st.composite
 def int_matmul_operands(draw):
     """Integer operands of 2-16 bits: one matrix pair, a stack against a 2-D
-    b, or two stacks whose leading dims broadcast."""
+    b, or two stacks whose leading dims broadcast. A model's operands stop
+    at MAX_LUT_BITWIDTH bits, whose sums fit int32 here; the wider ones
+    (external tables with large entries, wide configs) reach sums outside
+    it, which the scan must catch."""
     bits = draw(st.integers(2, 16))
     dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
     m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
@@ -308,9 +311,9 @@ class TestBlocks:
 
 # each kernel a block can run: closed form, gather, int64 reference, float
 @pytest.fixture(scope="module")
-def calibrated_16_bit_model(toy_data):
+def calibrated_12_bit_model(toy_data):
     model = ax.init_model(ax.ModelConfig(num_layers=2, embed_dim=16, num_heads=2, ffn_dim=32),
-                          seed=3, bitwidth=16)
+                          seed=3, bitwidth=MAX_LUT_BITWIDTH)
     ax.calibrate(model, toy_data[0][:128])
     return model
 
@@ -346,26 +349,19 @@ class TestLeanBlock:
 
     @settings(max_examples=8, deadline=None)
     @given(batch=st.integers(1, 2 * BATCH + 3), start=st.integers(0, 1000))
-    def test_16_bit_int_reference_equals_out_of_place(self, calibrated_16_bit_model, toy_data,
+    def test_12_bit_int_reference_equals_out_of_place(self, calibrated_12_bit_model, toy_data,
                                                       batch, start):
-        """The int-reference case on a 16-bit model, whose products reach
-        2**30. Block 1 runs on the float output of block 0, the input it was
-        calibrated on; the lean and collected block equal the int64 oracle bit
-        for bit, or all three find a sum outside int32."""
-        model = calibrated_16_bit_model
+        """The int-reference case on a model at the table cap, whose products
+        reach 2**22, so that every sum of this config fits int32. Block 1
+        runs on the float output of block 0, the input it was calibrated on;
+        the lean and collected block equal the int64 oracle bit for bit."""
+        model = calibrated_12_bit_model
         x = block_forward(model, 0, ax.model.embed(model, toy_data[0][start:start + batch]),
                           None, None)
         qps = model.block_qps(1)
-
-        def outcome(forward):
-            try:
-                return forward().tobytes()
-            except OverflowError:
-                return "overflow"
-
-        want = outcome(lambda: block_out_of_place(model, 1, x, qps, None))
-        assert outcome(lambda: block_forward(model, 1, x, qps, None)) == want
-        assert outcome(lambda: block_forward(model, 1, x, qps, None, collect=True)[0]) == want
+        want = block_out_of_place(model, 1, x, qps, None).tobytes()
+        assert block_forward(model, 1, x, qps, None).tobytes() == want
+        assert block_forward(model, 1, x, qps, None, collect=True)[0].tobytes() == want
 
     @pytest.mark.parametrize("path", BLOCK_LUTS)
     def test_read_only_input_is_left_unchanged(self, small_calibrated_model, toy_data, path):
@@ -453,6 +449,13 @@ class TestVitForward:
         mixed = ax.vit_forward(model, patches[:16],
                                [catalog.lut("mul8s_1L2L"), catalog.lut("mul8s_1KV6")])
         assert not np.array_equal(exact, mixed)
+
+    @pytest.mark.parametrize("bitwidth", [1, 13, 16])
+    def test_bitwidth_stops_at_the_table_cap(self, bitwidth):
+        # every model has an exact table: a 13-16-bit one could run only on
+        # the integer reference, whose 32-bit sums it overflows
+        with pytest.raises(ValueError, match=r"bitwidth must be an integer in \[2, 12\]"):
+            ax.init_model(ax.ModelConfig(), seed=3, bitwidth=bitwidth)
 
     def test_uncalibrated_model_raises(self):
         model = ax.init_model(ax.ModelConfig(num_layers=1, embed_dim=16,

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import axvit.quant as quant
 from axvit.quant import (
     HistogramCalibrator,
     QuantParams,
     _bin_counts,
+    _bin_edges,
     _rebin,
     dequantize,
     fake_quant,
@@ -95,6 +97,30 @@ class TestCalibrator:
             cal.observe(buried)
         assert (cal.total, cal.observed_max) == (3, 1.0)  # nothing was added
 
+    @pytest.mark.parametrize("zeros", [0, 5])
+    def test_too_many_bins_leaves_the_calibrator_unchanged(self, zeros):
+        # 1e-320 has fewer ulps than 2048 bins: the edges are checked before
+        # the maximum, the counts or the total change
+        cal = HistogramCalibrator()
+        if zeros:
+            cal.observe(np.zeros(zeros))
+        with pytest.raises(ValueError, match="Too many bins"):
+            cal.observe(np.array([1e-320, 0.0]))
+        assert (cal.observed_max, cal.total, cal.counts.sum()) == (0.0, zeros, zeros)
+        cal.observe(np.array([1.0, 0.0]))  # and goes on as a fresh one would
+        want = HistogramCalibrator().observe(np.zeros(zeros)).observe(np.array([1.0, 0.0]))
+        assert cal.counts.tolist() == want.counts.tolist() and cal.total == want.total
+
+    def test_edges_are_built_only_when_the_maximum_rises(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(quant, "_bin_edges",
+                            lambda top, n: built.append(top) or _bin_edges(top, n))
+        cal = HistogramCalibrator()
+        for top in (0.0, 1.0, 0.5, 1.0, 3.0, 2.0, 3.0):
+            cal.observe(np.array([top, top / 3]))
+        assert built == [1.0, 3.0]
+        assert cal._edges.tolist() == _bin_edges(3.0, cal.num_bins).tolist()
+
     def test_empty_calibrator_raises(self):
         with pytest.raises(RuntimeError):
             HistogramCalibrator().clip_value()
@@ -172,7 +198,7 @@ class TestBinCounts:
         """Edge-heavy values, subnormal and huge tops, 1-4096 bins, and sizes
         across np.histogram's 65,536-value block. Where the linspace edges do
         not rise strictly (a subnormal top with more bins than it has ulps),
-        np.histogram raises, and so does _bin_counts."""
+        np.histogram raises, and so does _bin_edges."""
         v = edge_heavy_values(np.random.default_rng(seed), size, top, num_bins)
         with np.errstate(over="ignore"):  # linspace near the largest float
             try:
@@ -180,13 +206,13 @@ class TestBinCounts:
             except ValueError as exc:
                 assert "Too many bins" in str(exc)
                 with pytest.raises(ValueError, match="Too many bins"):
-                    _bin_counts(v, top, num_bins)
+                    _bin_edges(top, num_bins)
                 return
-            got = _bin_counts(v, top, num_bins)
+            got = _bin_counts(v, top, _bin_edges(top, num_bins))
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_top_lands_in_the_last_bin(self):
-        got = _bin_counts(np.array([0.0, 0.5, 1.0, 1.0]), 1.0, 4)
+        got = _bin_counts(np.array([0.0, 0.5, 1.0, 1.0]), 1.0, _bin_edges(1.0, 4))
         assert got.tolist() == [1, 0, 1, 2]
 
 
