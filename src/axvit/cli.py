@@ -197,8 +197,8 @@ def cmd_error_metrics(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    imgs, labels = dt.synthetic_dataset(args.num, args.seed)  # checks --num first
     os.makedirs(args.out, exist_ok=True)
-    imgs, labels = dt.synthetic_dataset(args.num, args.seed)
     _atomic_write(os.path.join(args.out, "images.idx"),
                   lambda tmp: dt.save_idx_images(tmp, imgs))
     _atomic_write(os.path.join(args.out, "labels.idx"),
@@ -346,6 +346,19 @@ def cmd_toy(args) -> int:
     return 0
 
 
+def _finite_field(path: str, row: int, column: str, text: str) -> float:
+    """A numeric field of a search CSV (row 1 follows the header); float()'s
+    own error names no file or row, and a NaN accuracy would land on the
+    front."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row}: {column} {text!r} is not a finite number")
+    return value
+
+
 def cmd_pareto(args) -> int:
     comments, columns, rows = read_csv(args.search_csv)
     idx = {c: i for i, c in enumerate(columns)}
@@ -353,10 +366,9 @@ def cmd_pareto(args) -> int:
         if needed not in idx:
             raise ValueError(f"{args.search_csv} is missing column {needed!r}")
     points = [se.SearchPoint(tuple(r[idx["config"]].split("|")),
-                             float(r[idx["predicted_accuracy"]]),
-                             float(r[idx["normalized_power"]]),
-                             float(r[idx["reward"]]))
-              for r in rows]
+                             *(_finite_field(args.search_csv, row, c, r[idx[c]])
+                               for c in _POINT_COLUMNS[1:]))
+              for row, r in enumerate(rows, 1)]
     _emit(args.out, _csv_text([f"{k}={v}" for k, v in comments.items()], _POINT_COLUMNS,
                               map(_point_fields, se.pareto_front(points))))
     return 0

@@ -16,6 +16,8 @@ def synthetic_dataset(num_samples: int, seed: int):
 
     Returns (images uint8 [N, 16, 16], labels int64 [N]) with balanced classes.
     """
+    if num_samples < 0:  # numpy's own message names no argument
+        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     num_classes, image_size, noise = 10, 16, 0.9
     rng = np.random.default_rng(seed)
     protos = rng.normal(0.0, 1.0, size=(num_classes, image_size, image_size))

@@ -259,12 +259,12 @@ def load_lut(path: str) -> ProductLut:
             raise ValueError(f"{path}: AXLUT bitwidth {bitwidth} outside "
                              f"[2, {MAX_LUT_BITWIDTH}]")
         n = 1 << bitwidth
-        data = np.frombuffer(f.read(4 * n * n), dtype="<i4")
-        if data.size != n * n:
+        payload = f.read(4 * n * n)
+        if len(payload) != 4 * n * n:
             raise ValueError(f"{path}: truncated AXLUT payload")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after AXLUT payload")
-    return ProductLut(bitwidth, data.reshape(n, n))
+    return ProductLut(bitwidth, np.frombuffer(payload, dtype="<i4").reshape(n, n))
 
 
 def lut_checksum(path: str) -> str:

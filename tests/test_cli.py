@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import axvit as ax
 from axvit import cli
 from axvit import data as dt
-from axvit.multipliers import approx_products, load_lut
+from axvit.multipliers import AxMultiplier, approx_products, build_lut, load_lut, save_lut
 
 
 def run(*argv):
@@ -247,17 +247,21 @@ class TestEval:
         assert "truncated IDX header" in err
 
     def test_truncated_external_lut(self, workspace, tmp_path, capsys):
+        """A cut header, and a saved 8-bit table 3 bytes short (not a whole
+        int32 entry), each end in one line that names the file."""
         lut_path = tmp_path / "bad.axlut"
-        lut_path.write_bytes(b"AXLUT\x00\x01")
         catalog = tmp_path / "catalog.json"
         catalog.write_text(json.dumps([{"name": "bad", "bitwidth": 8, "kind": "external",
                                         "lut_path": str(lut_path)}]))
-        assert run("eval", "--model", workspace["ckpt"], "--dataset",
-                   workspace["data"], "--config", "bad", "--catalog",
-                   str(catalog), "--probe", "8") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("axvit eval: ") and err.count("\n") == 1
-        assert "truncated AXLUT header" in err
+        save_lut(build_lut(AxMultiplier("exact8", 8, "exact")), str(lut_path))
+        saved = lut_path.read_bytes()
+        for content, message in [(b"AXLUT\x00\x01", "truncated AXLUT header"),
+                                 (saved[:-3], "truncated AXLUT payload")]:
+            lut_path.write_bytes(content)
+            assert run("eval", "--model", workspace["ckpt"], "--dataset",
+                       workspace["data"], "--config", "bad", "--catalog",
+                       str(catalog), "--probe", "8") == 1
+            assert capsys.readouterr().err == f"axvit eval: {lut_path}: {message}\n"
 
 
 class TestInitModel:
@@ -382,6 +386,21 @@ class TestSearchCommand:
         assert run("pareto", str(path)) == 1
         assert capsys.readouterr().err == f"axvit pareto: {path}: {message}\n"
 
+    @pytest.mark.parametrize("column", ["predicted_accuracy", "normalized_power", "reward"])
+    @pytest.mark.parametrize("text", ["x", "nan", "inf"])
+    def test_pareto_non_finite_field(self, tmp_path, capsys, column, text):
+        """A field that is not a finite number, in the second data row, ends
+        in one line naming the file, row and column; nothing is written."""
+        row = {"config": "a|b", "predicted_accuracy": "0.5", "normalized_power": "0.75",
+               "reward": "0.25"}
+        path, out = tmp_path / "search.csv", tmp_path / "pareto.csv"
+        path.write_text("".join(",".join(r) + "\n"
+                                for r in (row, row.values(), {**row, column: text}.values())))
+        assert run("pareto", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"axvit pareto: {path}: row 2: {column} "
+                                           f"{text!r} is not a finite number\n")
+        assert not out.exists()
+
 
 class TestToy:
     def test_outputs(self, tmp_path, capsys):
@@ -496,7 +515,8 @@ class TestPowerBaseline:
 
 # Each count is checked where it is owned: TrainHyperparams (iterations,
 # batch_size), SearchParams (probe_batch_size), toy_attention_experiment
-# (iterations) and the probe slice that eval and sensitivity share.
+# (iterations), synthetic_dataset (num_samples) and the probe slice that eval
+# and sensitivity share.
 BAD_COUNTS = {
     "init-model --train-iters -1": (
         ["init-model", "--train-iters", "-1", "--dataset", "synthetic:64:1"],
@@ -512,6 +532,7 @@ BAD_COUNTS = {
     "search --probe -60": (["search", "--probe", "-60"], "probe_batch_size must be >= 1"),
     "sensitivity --probe -5": (["sensitivity", "--probe", "-5"], "--probe must be >= 1"),
     "toy --iters 0": (["toy", "mul8s_1KV6", "--iters", "0"], "iterations must be >= 1"),
+    "gen-data --num -1": (["gen-data", "--num", "-1"], "num_samples must be >= 0, got -1"),
 }
 
 

@@ -174,12 +174,13 @@ class TestLutFile:
         with pytest.raises(ValueError, match="magic"):
             load_lut(str(path))
 
-    def test_truncated_payload(self, tmp_path):
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 8])
+    def test_truncated_payload(self, tmp_path, cut):
         lut = build_lut(mult("exact", b=4))
         path = tmp_path / "t.axlut"
         save_lut(lut, str(path))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated AXLUT payload$"):
             load_lut(str(path))
 
     def test_truncated_header(self, tmp_path):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import axvit as ax
 import axvit.quant as quant
+from axvit import training as tr
+from axvit.model import ACTIVATION_ROLES, BATCH, WEIGHT_ROLES
 from axvit.quant import (
     HistogramCalibrator,
     QuantParams,
@@ -164,41 +167,69 @@ class TestCalibrator:
 
 
 SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 def edge_heavy_values(rng, size, top, num_bins):
     """``size`` values in [0, top], most of them on np.histogram's linspace
-    edges or one ulp either side, the rest 0.0, ``top`` or uniform."""
+    edges, one ulp or 2-4 ulps either side, the rest 0.0, ``top`` or
+    uniform."""
     # near the largest float, linspace's last product overflows before
     # linspace sets the end point to top, and the ulp above top is inf
     with np.errstate(over="ignore"):
         edges = np.linspace(0.0, top, num_bins + 1)
         on = edges[rng.integers(0, num_bins + 1, size)]
         above = np.nextafter(on, np.inf)
-    kind = rng.integers(0, 6, size)
-    v = np.select([kind == 1, kind == 2, kind == 3, kind == 4, kind == 5],
-                  [np.nextafter(on, 0.0), above, 0.0, top, rng.random(size) * top], on)
+    # a non-negative float's bits count its ulps from 0.0
+    bits, ulps = on.view(np.int64), rng.integers(2, 5, size)
+    far_below = np.maximum(bits - ulps, 0).view(np.float64)
+    far_above = np.minimum(bits + ulps, np.float64(top).view(np.int64)).view(np.float64)
+    kind = rng.integers(0, 8, size)
+    v = np.select([kind == 1, kind == 2, kind == 3, kind == 4, kind == 5, kind == 6, kind == 7],
+                  [np.nextafter(on, 0.0), above, 0.0, top, rng.random(size) * top,
+                   far_below, far_above], on)
     return np.clip(v, 0.0, top)
+
+
+@st.composite
+def bins_and_top(draw):
+    """A bin count, 1-4096 or up to about 10**5 and mostly not a power of
+    two, and a top: subnormal, huge, or a few ulps either side of (or a
+    small factor off) ``num_bins * TINY``, where linspace's step turns
+    subnormal."""
+    num_bins = draw(st.sampled_from([1, 2, 2048, 4096, 3001, 99_991])
+                    | st.integers(1, 4096) | st.integers(4097, 100_000))
+    at_tiny = num_bins * TINY  # exact: a power of two times an integer < 2**53
+    top = draw(st.sampled_from([1.0, 3.7, 4096 * SMALLEST_SUBNORMAL, np.finfo(float).max])
+               | st.floats(SMALLEST_SUBNORMAL, 2.2e-308)  # subnormal
+               | st.floats(1e-300, 1e300) | st.floats(1e300, np.finfo(float).max)
+               | st.integers(-4, 4).map(
+                   lambda k: float((np.float64(at_tiny).view(np.int64) + k).view(np.float64)))
+               | st.floats(0.5, 2.0).map(lambda f: at_tiny * f))
+    return num_bins, top
 
 
 class TestBinCounts:
     """_bin_counts against np.histogram on [0, top], the call it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(num_bins=st.sampled_from([1, 2, 2048, 4096]) | st.integers(1, 4096),
-           top=st.sampled_from([1.0, 3.7, 4096 * SMALLEST_SUBNORMAL, np.finfo(float).max])
-           | st.floats(SMALLEST_SUBNORMAL, 2.2e-308)  # subnormal
-           | st.floats(1e-300, 1e300) | st.floats(1e300, np.finfo(float).max),
+    @given(bins_top=bins_and_top(),
            size=st.sampled_from([0, 1, 65535, 65536, 65537, 70000]) | st.integers(0, 70000),
            seed=st.integers(0, 2**32 - 1))
-    @example(num_bins=2, top=SMALLEST_SUBNORMAL, size=10, seed=0)  # linspace's step == 0
-    @example(num_bins=4096, top=4096 * SMALLEST_SUBNORMAL, size=70000, seed=1)
-    @example(num_bins=1, top=np.finfo(float).max, size=65537, seed=2)
-    def test_equals_np_histogram(self, num_bins, top, size, seed):
-        """Edge-heavy values, subnormal and huge tops, 1-4096 bins, and sizes
-        across np.histogram's 65,536-value block. Where the linspace edges do
-        not rise strictly (a subnormal top with more bins than it has ulps),
+    @example(bins_top=(2, SMALLEST_SUBNORMAL), size=10, seed=0)  # linspace's step == 0
+    @example(bins_top=(4096, 4096 * SMALLEST_SUBNORMAL), size=70000, seed=1)
+    @example(bins_top=(1, np.finfo(float).max), size=65537, seed=2)
+    @example(bins_top=(5, 2.0237e-320), size=1000, seed=3)  # a subnormal step
+    @example(bins_top=(99_991, 1.0), size=70000, seed=4)
+    @example(bins_top=(3001, float(np.nextafter(3001 * TINY, 0.0))), size=1000, seed=5)
+    @example(bins_top=(3001, 3001 * TINY), size=1000, seed=6)
+    def test_equals_np_histogram(self, bins_top, size, seed):
+        """Edge-heavy values, subnormal and huge tops and tops where the
+        step turns subnormal, 1 to about 10**5 bins, and sizes across
+        np.histogram's 65,536-value block. Where the linspace edges do not
+        rise strictly (a subnormal top with more bins than it has ulps),
         np.histogram raises, and so does _bin_edges."""
+        num_bins, top = bins_top
         v = edge_heavy_values(np.random.default_rng(seed), size, top, num_bins)
         with np.errstate(over="ignore"):  # linspace near the largest float
             try:
@@ -267,6 +298,48 @@ class TestObserveMatchesNpHistogram:
         cal = HistogramCalibrator(16).observe(heads)
         assert fused.tobytes() == before
         assert cal.observed_max == float(np.abs(fused[..., 4:8]).max()) and cal.total == 24
+
+
+@pytest.fixture(scope="module")
+def trained_model(toy_data):
+    patches, labels = toy_data
+    model = ax.init_model(ax.ModelConfig(num_layers=2, embed_dim=16, num_heads=2, ffn_dim=32),
+                          seed=5)
+    tr.train_float(model, patches[:256], labels[:256],
+                   ax.TrainHyperparams(learning_rate=3e-3, iterations=40, batch_size=32,
+                                       data_fraction=1.0, seed=5))
+    return model
+
+
+class TestCalibrateMatchesNpHistogram:
+    @pytest.mark.parametrize("num_bins", [1, 7, 2048, 3001])
+    def test_scale_map(self, trained_model, toy_data, num_bins):
+        """model.calibrate's scale map on a trained model equals one whose
+        activation histograms are np.histogram's: each block's float
+        activations, collected by vit_forward batch by batch as calibrate
+        batches them (the last batch short), go to a
+        NumpyHistogramCalibrator; weight scales are max_scale's."""
+        patches = toy_data[0][:3 * BATCH + 8]
+        model = trained_model.copy()
+        got = ax.calibrate(model, patches, num_bins=num_bins)
+        refs = {}
+        for start in range(0, len(patches), BATCH):
+            _, cache = ax.vit_forward(model, patches[start:start + BATCH], quantized=False,
+                                      collect=True)
+            for i, bc in enumerate(cache["blocks"]):
+                for role in ACTIVATION_ROLES:
+                    refs.setdefault(f"block{i}.{role}",
+                                    NumpyHistogramCalibrator(num_bins)).observe(bc[role])
+        want = {}
+        for key, ref in refs.items():
+            cal = HistogramCalibrator(num_bins)
+            cal.counts, cal.observed_max, cal.total = ref.counts, ref.observed_max, ref.total
+            want[key] = cal.compute_scale(model.bitwidth).scale
+        for i in range(model.cfg.num_layers):
+            for role in WEIGHT_ROLES:
+                key = f"block{i}.{role}"
+                want[key] = max_scale(model.params[key], model.bitwidth).scale
+        assert got == want
 
 
 class TestQuantizeDequantize:
