@@ -459,8 +459,9 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
 
     qps: the block's QuantParams (``model.block_qps(i)``), or None for real
     arithmetic; lut: its ProductLut, or None for the exact integer reference;
-    weights: ``block_weights(model, i, qps, lut)``, built here when not
-    given, so that a caller running many batches builds it once.
+    weights: ``block_weights(model, i, qps, lut)``, as ``block_plan``
+    builds it for every forward pass of the package; built here when not
+    given, for a direct call.
     x is only read, never written. Returns the block output, or (output,
     cache) when collect is set. The cache holds the tensor each activation
     quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
@@ -517,14 +518,43 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
     return (x, cache) if collect else x
 
 
+def block_plan(model: VitModel, i: int, lut, quantized=True) -> tuple:
+    """Block i's ``(qps, lut, weights)`` for ``block_forward``, built once for
+    any number of chunks: ``model.block_qps(i)``, the block's ProductLut (None
+    for the exact integer reference) and its ``block_weights``; or
+    ``(None, None, float weights)`` in real arithmetic."""
+    qps, lut = (model.block_qps(i), lut) if quantized else (None, None)
+    return qps, lut, block_weights(model, i, qps, lut)
+
+
+def run_blocks(model: VitModel, plan, xs, first=0, observe=None):
+    """The block loop of every forward pass: runs each chunk of xs, the
+    input of block ``first``, through blocks ``first`` to ``len(plan) - 1``
+    by their ``block_plan`` entries and yields its output, one chunk at a
+    time. With observe, the blocks collect and ``observe(i, cache)`` sees
+    block i's cache, which stays alive until block i+1 has returned."""
+    for x in xs:
+        for i in range(first, len(plan)):
+            qps, lut, weights = plan[i]
+            if observe is None:
+                x = block_forward(model, i, x, qps, lut, weights=weights)
+            else:
+                x, cache = block_forward(model, i, x, qps, lut, collect=True, weights=weights)
+                observe(i, cache)
+        yield x
+
+
 def forward_inputs(model: VitModel, patches, luts=None) -> np.ndarray:
     """The input checks of a forward pass: returns the patches as float64 after
-    checking their shape and the LUT count (``block_qps`` checks calibration)."""
+    checking their shape, that there is a sample and the LUT count
+    (``block_qps`` checks calibration)."""
     cfg = model.cfg
     patches = np.asarray(patches, dtype=np.float64)
     if patches.shape[1:] != (cfg.num_patches, cfg.patch_dim):
         raise ValueError(f"expected patches [N, {cfg.num_patches}, {cfg.patch_dim}], "
                          f"got {patches.shape}")
+    if len(patches) == 0:
+        raise ValueError("empty dataset")
     if luts is not None and len(luts) != cfg.num_layers:
         raise ValueError(f"need one LUT per transformer block: assignment length "
                          f"{len(luts)} != num_layers {cfg.num_layers}")
@@ -534,6 +564,12 @@ def forward_inputs(model: VitModel, patches, luts=None) -> np.ndarray:
 def embed(model: VitModel, patches) -> np.ndarray:
     """Exact patch embedding, the input of block 0."""
     return patches @ model.params["embed.w"] + model.params["embed.b"]
+
+
+def embedded_chunks(model: VitModel, patches, size: int):
+    """The embedded input of each ``size``-sample chunk of patches, each one
+    made when it is read."""
+    return (embed(model, patches[s:s + size]) for s in range(0, len(patches), size))
 
 
 def pool_head(model: VitModel, x):
@@ -554,8 +590,8 @@ def predictions(model: VitModel, x) -> np.ndarray:
 
 def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=False):
     """Full forward pass in stages: input checks (``forward_inputs``), exact
-    patch embedding (``embed``), L approximated blocks (``block_forward``),
-    mean pool and exact classifier head (``pool_head``).
+    patch embedding (``embed``), L approximated blocks (``run_blocks``, one
+    chunk), mean pool and exact classifier head (``pool_head``).
 
     luts: per-block ProductLut list, or None for the exact integer reference
     path (only meaningful when quantized). Returns logits, or (logits, cache)
@@ -563,16 +599,11 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
     "blocks", each block's ``block_forward`` cache.
     """
     patches = forward_inputs(model, patches, luts)
-    x = embed(model, patches)
+    plan = [block_plan(model, i, lut, quantized)
+            for i, lut in enumerate(luts or [None] * model.cfg.num_layers)]
     blocks = []
-    for i in range(model.cfg.num_layers):
-        lut = luts[i] if (quantized and luts is not None) else None
-        qps = model.block_qps(i) if quantized else None
-        if collect:
-            x, bc = block_forward(model, i, x, qps, lut, collect=True)
-            blocks.append(bc)
-        else:
-            x = block_forward(model, i, x, qps, lut)
+    (x,) = run_blocks(model, plan, embedded_chunks(model, patches, len(patches)),
+                      observe=(lambda i, cache: blocks.append(cache)) if collect else None)
     logits, pooled = pool_head(model, x)
     if collect:
         return logits, {"patches": patches, "blocks": blocks, "pooled": pooled}
@@ -593,31 +624,28 @@ def check_labels(model: VitModel, patches, labels) -> None:
                          f"outside the model's {n} classes [0, {n - 1}]")
 
 
+def top1_accuracy(model: VitModel, outs, labels, size: int) -> float:
+    """The share of labels predicted right by outs, the last block's outputs
+    of consecutive ``size``-sample chunks."""
+    correct = sum(int((predictions(model, x) == labels[s:s + size]).sum())
+                  for s, x in zip(range(0, len(labels), size), outs))
+    return correct / len(labels)
+
+
 def evaluate_accuracy(model: VitModel, patches, labels, assignment=None,
                       catalog=None, batch_size=BATCH) -> float:
-    """Top-1 accuracy on the labeled dataset."""
-    patches = np.asarray(patches)
+    """Top-1 accuracy on the labeled dataset, ``batch_size`` samples per
+    chunk; each block's plan is built once for all the chunks."""
     labels = np.asarray(labels)
     check_labels(model, patches, labels)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if patches.shape[0] == 0:
-        raise ValueError("empty dataset")
     luts = None if assignment is None else [catalog.lut(n) for n in assignment]
-    # vit_forward's stages, with the blocks' weight operands built once for
-    # every batch: the weights and scales stay fixed for the call
     patches = forward_inputs(model, patches, luts)
-    plan = []
-    for i in range(model.cfg.num_layers):
-        qps, lut = model.block_qps(i), None if luts is None else luts[i]
-        plan.append((qps, lut, block_weights(model, i, qps, lut)))
-    correct = 0
-    for start in range(0, patches.shape[0], batch_size):
-        x = embed(model, patches[start:start + batch_size])
-        for i, (qps, lut, weights) in enumerate(plan):
-            x = block_forward(model, i, x, qps, lut, weights=weights)
-        correct += int((predictions(model, x) == labels[start:start + batch_size]).sum())
-    return correct / patches.shape[0]
+    plan = [block_plan(model, i, lut)
+            for i, lut in enumerate(luts or [None] * model.cfg.num_layers)]
+    outs = run_blocks(model, plan, embedded_chunks(model, patches, batch_size))
+    return top1_accuracy(model, outs, labels, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +658,16 @@ def calibrate(model: VitModel, patches, percentile: float = DEFAULT_PERCENTILE,
     max-calibrate weight scales. Stores the scale map on the model."""
     cals = {f"block{i}.{role}": HistogramCalibrator(num_bins, percentile)
             for i in range(model.cfg.num_layers) for role in ACTIVATION_ROLES}
-    # the float forward in stages, each block observed as it runs, so that
-    # one block's cache is alive at a time, not all L
+
+    def observe(i, cache):
+        for role in ACTIVATION_ROLES:
+            cals[f"block{i}.{role}"].observe(cache[role])
+
+    # each block observed as it runs, so that not all L caches are alive
     patches = forward_inputs(model, patches)
-    for start in range(0, patches.shape[0], BATCH):
-        x = embed(model, patches[start:start + BATCH])
-        for i in range(model.cfg.num_layers):
-            x, bc = block_forward(model, i, x, None, None, collect=True)
-            for role in ACTIVATION_ROLES:
-                cals[f"block{i}.{role}"].observe(bc[role])
+    plan = [block_plan(model, i, None, quantized=False) for i in range(model.cfg.num_layers)]
+    for _ in run_blocks(model, plan, embedded_chunks(model, patches, BATCH), observe=observe):
+        pass
     model.scales = {key: cal.compute_scale(model.bitwidth).scale for key, cal in cals.items()}
     refresh_weight_scales(model)
     return model.scales

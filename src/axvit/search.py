@@ -153,25 +153,22 @@ class PrefixMemo:
     so ``entries[prefix]`` holds the output of block ``len(prefix) - 1`` (the
     embedded probe for ``()``), one read-only array per probe chunk of
     ``model.BATCH`` samples. The least recently used entries go once the
-    entries hold more than ``MEMO_BYTES``. Beside them, ``plans`` holds, for
-    each (block, multiplier name) that ran, the block's scales and the
-    ``model.block_weights`` built from them, so each block's weights are
-    quantized once per multiplier.
+    entries hold more than ``MEMO_BYTES``. Beside them, ``plans`` holds the
+    ``model.block_plan`` of each (block, multiplier name) that ran, so each
+    block's weights are quantized once per multiplier.
     """
 
     def __init__(self):
         self.entries: OrderedDict[tuple[str, ...], list[np.ndarray]] = OrderedDict()
         self.nbytes = 0
-        self.plans: dict[tuple[int, str], tuple[dict, dict]] = {}
+        self.plans: dict[tuple[int, str], tuple] = {}
 
-    def plan(self, model, i: int, name: str, lut) -> tuple[dict, dict]:
-        """(qps, weights) of block i for the multiplier ``name``, whose table
-        is lut; built on first use."""
-        plan = self.plans.get((i, name))
-        if plan is None:
-            qps = model.block_qps(i)
-            plan = self.plans[i, name] = qps, nn.block_weights(model, i, qps, lut)
-        return plan
+    def plan(self, model, i: int, name: str, lut) -> tuple:
+        """``model.block_plan`` of block i for the multiplier ``name``, whose
+        table is lut; built on first use."""
+        if (i, name) not in self.plans:
+            self.plans[i, name] = nn.block_plan(model, i, lut)
+        return self.plans[i, name]
 
     def longest(self, assignment: tuple[str, ...]):
         """(n, chunks) for the longest cached prefix ``assignment[:n]``, or
@@ -203,25 +200,20 @@ def predict_accuracy(model, assignment, catalog, probe_patches, probe_labels,
     and weight operands are built once for all the calls that share the memo.
     """
     nn.check_labels(model, probe_patches, probe_labels)
-    n = np.shape(probe_patches)[0]
-    if n == 0:
-        raise ValueError("empty probe batch")
     memo = PrefixMemo() if memo is None else memo
     assignment = tuple(assignment)
     luts = [catalog.lut(name) for name in assignment]
     patches = nn.forward_inputs(model, probe_patches, luts)
+    plan = [memo.plan(model, i, name, lut) for i, (name, lut) in enumerate(zip(assignment, luts))]
     done, xs = memo.longest(assignment)
     if xs is None:
-        xs = [nn.embed(model, patches[s:s + nn.BATCH]) for s in range(0, n, nn.BATCH)]
+        xs = list(nn.embedded_chunks(model, patches, nn.BATCH))
         memo.store((), xs)
     for i in range(done, len(assignment)):
-        qps, weights = memo.plan(model, i, assignment[i], luts[i])
-        xs = [nn.block_forward(model, i, x, qps, luts[i], weights=weights) for x in xs]
+        # one block at a time, so that every prefix's output is stored
+        xs = list(nn.run_blocks(model, plan[:i + 1], xs, i))
         memo.store(assignment[:i + 1], xs)
-    labels = np.asarray(probe_labels)
-    correct = sum(int((nn.predictions(model, x) == labels[s:s + nn.BATCH]).sum())
-                  for s, x in zip(range(0, n, nn.BATCH), xs))
-    return correct / n
+    return nn.top1_accuracy(model, xs, np.asarray(probe_labels), nn.BATCH)
 
 
 def profile_sensitivity(model, catalog: Catalog, probe_patches, probe_labels,

@@ -158,7 +158,10 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
     return grads
 
 
-def _train_loop(model, patches, labels, hp: TrainHyperparams, luts, quantized):
+def _train_loop(model, patches, labels, hp: TrainHyperparams, luts):
+    """Trains on luts' quantized forward, or in real arithmetic when luts is
+    None, and returns the per-step losses."""
+    quantized = luts is not None
     nn.check_labels(model, patches, labels)
     n = patches.shape[0]
     if n == 0:
@@ -199,12 +202,12 @@ def finetune(model: nn.VitModel, assignment, patches, labels,
     Updates the model in place and returns the per-step loss history.
     """
     luts = [catalog.lut(name) for name in assignment]
-    return _train_loop(model, patches, labels, hp, luts, quantized=True)
+    return _train_loop(model, patches, labels, hp, luts)
 
 
 def train_float(model: nn.VitModel, patches, labels, hp: TrainHyperparams):
     """Plain real-arithmetic training, used to produce baseline weights."""
-    return _train_loop(model, patches, labels, hp, luts=None, quantized=False)
+    return _train_loop(model, patches, labels, hp, luts=None)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,18 @@ class TestDatasetFlag:
                        f"integer, got {text!r} in {spec!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sensitivity", "calibrate", "search"])
+    def test_empty_dataset(self, workspace, tmp_path, capsys, command):
+        """A dataset without samples ends in the forward pass's one input
+        check, whichever command runs it."""
+        out = tmp_path / "out"
+        argv = {"eval": ["--config", "mul8s_1KV6"], "sensitivity": [],
+                "calibrate": ["--out", str(out)], "search": ["--out", str(out)]}[command]
+        assert run(command, "--model", workspace["ckpt"], "--dataset", "synthetic:0:1",
+                   *argv) == 1
+        assert capsys.readouterr().err == f"axvit {command}: empty dataset\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["init-model", "finetune", "eval"])
     def test_image_label_count_mismatch(self, workspace, tmp_path, capsys, command):
         data = tmp_path / "data"

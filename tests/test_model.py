@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,19 +22,24 @@ from axvit.model import (
     attn_weight_qparams,
     axx_matmul,
     block_forward,
+    block_plan,
     block_weights,
+    embed,
+    embedded_chunks,
     exact_int_matmul,
     gelu,
     gelu_grad,
     layer_norm,
     prepare_operand,
     refresh_weight_scales,
+    run_blocks,
     softmax,
 )
 from axvit.multipliers import MAX_LUT_BITWIDTH, AxMultiplier, ProductLut, build_lut
 from axvit.quant import HistogramCalibrator, QuantParams, quantize
 from oracles import (block_out_of_place, gelu_grad_pow, gelu_out_of_place, gelu_pow,
                      layer_norm_var, softmax_out_of_place, truncated_product)
+from test_lut_matmul import noisy_exact_lut
 
 EXACT_LUT = build_lut(AxMultiplier("exact8", 8, "exact"))
 TRUNC2_LUT = build_lut(AxMultiplier("trunc8k2", 8, "truncate_lsb", k=2))
@@ -504,7 +510,7 @@ class TestEvaluateAccuracy:
         assert acc == 1.0
 
     def test_empty_dataset_raises(self, small_calibrated_model):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^empty dataset$"):
             ax.evaluate_accuracy(small_calibrated_model,
                                  np.zeros((0, 16, 16)), np.zeros(0, int))
 
@@ -678,6 +684,71 @@ class TestBlockWeights:
         x = ax.model.embed(model, toy_data[0][:4])
         with pytest.raises(RuntimeError, match="missing calibration scales"):
             block_forward(model, 0, x, None, TRUNC2_LUT)
+
+
+# every table run_blocks runs: the built-in catalog's, a non-rank-1
+# external table (the gather) and the exact integer reference (None)
+RUN_LUTS = {**{n: ax.builtin_catalog().lut(n) for n in ax.builtin_catalog().names()},
+            "external": noisy_exact_lut(seed=5), "int-reference": None}
+
+
+class TestRunBlocks:
+    """run_blocks is the one block loop of every forward pass, and
+    block_plan builds each block's scales, table and weights once per call."""
+
+    @pytest.mark.parametrize("path", [*RUN_LUTS, "float"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 150), size=st.sampled_from([1, 7, BATCH]) | st.integers(1, 150),
+           start=st.integers(0, 1000))
+    def test_chunking_leaves_the_output_unchanged(self, small_calibrated_model, toy_data,
+                                                  path, n, size, start):
+        """The outputs of ``size``-sample chunks, concatenated, equal one
+        chunk's output bit for bit: every row of a block depends only on
+        its own sample."""
+        model = small_calibrated_model
+        patches = toy_data[0][start:start + n]
+        plan = [block_plan(model, i, RUN_LUTS.get(path), quantized=path != "float")
+                for i in range(model.cfg.num_layers)]
+        (whole,) = run_blocks(model, plan, [embed(model, patches)])
+        chunks = list(run_blocks(model, plan, embedded_chunks(model, patches, size)))
+        assert [len(x) for x in chunks] == [len(patches[s:s + size]) for s in range(0, n, size)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("path", RUN_LUTS)
+    def test_accuracy_does_not_depend_on_the_batch_size(self, small_calibrated_model,
+                                                        toy_data, path):
+        """Labeled by one whole-batch forward pass, every sample is right
+        at every batch size, one sample per batch included."""
+        model, patches = small_calibrated_model, toy_data[0][:150]
+        layers = model.cfg.num_layers
+        luts = None if RUN_LUTS[path] is None else [RUN_LUTS[path]] * layers
+        labels = ax.vit_forward(model, patches, luts).argmax(axis=1)
+        assignment = None if luts is None else [path] * layers
+        catalog = SimpleNamespace(lut=RUN_LUTS.__getitem__)
+        for batch_size in (1, 7, BATCH, len(patches)):
+            assert ax.evaluate_accuracy(model, patches, labels, assignment, catalog,
+                                        batch_size) == 1.0
+
+    @pytest.mark.parametrize("call", ["evaluate_accuracy", "int-reference", "vit_forward",
+                                      "float", "calibrate"])
+    def test_weights_are_built_once_per_block(self, small_calibrated_model, toy_data,
+                                              catalog, monkeypatch, call):
+        """Each call builds block i's weights once, however many chunks of
+        BATCH samples it runs (three here)."""
+        model = small_calibrated_model.copy()  # calibrate stores its scales
+        patches, labels = toy_data[0][:2 * BATCH + 22], toy_data[1][:2 * BATCH + 22]
+        built, real = [], ax.model.block_weights
+        monkeypatch.setattr(ax.model, "block_weights",
+                            lambda m, i, qps, lut: built.append(i) or real(m, i, qps, lut))
+        names = ["mul8s_1L2H"] * model.cfg.num_layers
+        {"evaluate_accuracy": lambda: ax.evaluate_accuracy(model, patches, labels, names,
+                                                           catalog),
+         "int-reference": lambda: ax.evaluate_accuracy(model, patches, labels),
+         "vit_forward": lambda: ax.vit_forward(model, patches,
+                                               [catalog.lut(n) for n in names]),
+         "float": lambda: ax.vit_forward(model, patches, quantized=False, collect=True),
+         "calibrate": lambda: ax.calibrate(model, patches)}[call]()
+        assert built == list(range(model.cfg.num_layers))
 
 
 class TestCalibrateAndCheckpoint:

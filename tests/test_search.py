@@ -352,7 +352,7 @@ class TestSensitivityAndSurrogate:
                             se.SearchParams(num_simulations=2, probe_batch_size=32))
 
     def test_empty_probe_rejected(self, small_calibrated_model, catalog):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^empty dataset$"):
             se.predict_accuracy(small_calibrated_model, ["mul8s_1KV6"] * 2,
                                 catalog, np.zeros((0, 16, 16)), np.zeros(0, int))
 
@@ -489,6 +489,31 @@ class TestPrefixMemo:
                     want += [(i, config[i], 64), (i, config[i], 32)]
         assert blocks == want
         assert embeds == [64, 32]
+
+    @pytest.mark.parametrize("policy", se.POLICIES)
+    def test_search_builds_each_block_plan_once(self, deep, monkeypatch, policy):
+        """A whole search_model call builds block i's weights once for each
+        multiplier that any evaluated assignment puts in block i."""
+        model, catalog, patches, labels = deep
+        name_of = {id(catalog.lut(n)): n for n in catalog.names()}
+        evaluated, built = [], []
+        real_predict, real_weights = se.predict_accuracy, ax.model.block_weights
+
+        def spy_predict(*args):
+            evaluated.append(tuple(args[1]))
+            return real_predict(*args)
+
+        def spy_weights(m, i, qps, lut):
+            built.append((i, name_of[id(lut)]))
+            return real_weights(m, i, qps, lut)
+
+        monkeypatch.setattr(se, "predict_accuracy", spy_predict)
+        monkeypatch.setattr(ax.model, "block_weights", spy_weights)
+        params = se.SearchParams(num_simulations=40, policy=policy, probe_batch_size=96,
+                                 seed=1)
+        se.search_model(model, catalog, patches, labels, params)
+        assert len(built) == len(set(built))
+        assert set(built) == {(i, name) for config in evaluated for i, name in enumerate(config)}
 
     def test_profiling_equals_profiling_on_fresh_forwards(self, deep, monkeypatch):
         model, catalog, patches, labels = deep
