@@ -476,7 +476,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
             raise ValueError(f"seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        # an overflowing forward ends in the package's own one-line error, not
+        # numpy's warnings first; the training loop still raises on overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     # OverflowError: a 32-bit accumulator sum of the model's products overflowed
     except (ValueError, OSError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"axvit {args.command}: {exc}", file=sys.stderr)

@@ -73,12 +73,6 @@ def _check_int32(acc, kernel: str):
         raise OverflowError(f"32-bit accumulator overflow in {kernel}")
 
 
-def _to_int32(acc, kernel: str) -> np.ndarray:
-    """The accumulator as int32; raises if a sum overflowed 32 bits."""
-    _check_int32(acc, kernel)
-    return acc.astype(np.int32)
-
-
 class PreparedOperand:
     """One operand of a closed-form product, as ``prepare_operand`` builds
     it: the integers ``trunc(quantize(x, qp), k)`` held exactly in a float64
@@ -190,7 +184,8 @@ def axx_matmul(a, b, lut) -> np.ndarray:
             acc += flat.take(rows[..., t:t + 1] + eb[..., t:t + 1, :])
     if bound <= _INT32_MAX:
         return acc
-    return _to_int32(acc, "axx_matmul")
+    _check_int32(acc, "axx_matmul")
+    return acc.astype(np.int32)
 
 
 def _max_abs(x) -> int:
@@ -198,20 +193,22 @@ def _max_abs(x) -> int:
 
 
 def exact_int_matmul(a, b) -> np.ndarray:
-    """Exact integer matmul reference with 32-bit accumulators; raises if a
-    sum is outside int32. While ``depth * max|a| * max|b| < 2**53``, from the
-    operands' own extremes, every partial sum is an integer float64 holds,
-    so one float64 BLAS matmul gives the exact sums in any order and its
-    float64 accumulator is returned. Past that bound it is an int64
-    ``np.matmul``, returned as int32."""
+    """Exact integer matmul reference with 32-bit accumulators: one float64
+    BLAS matmul, whose float64 accumulator is returned; raises if a sum is
+    outside int32. It needs ``depth * max|a| * max|b| < 2**53``, from the
+    operands' own extremes, so that every partial sum is an integer float64
+    holds and the sums are exact in any order; past that bound it raises
+    ValueError. A model's operands have at most MAX_LUT_BITWIDTH bits, so
+    no forward pass comes near it."""
     a, b = _check_matmul_shapes(a, b)
     if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError(f"operands must be integers, got {a.dtype} x {b.dtype}")
-    if a.shape[-1] * _max_abs(a) * _max_abs(b) < _FLOAT_EXACT_LIMIT:
-        acc = np.matmul(a, b, dtype=np.float64)
-        _check_int32(acc, "exact_int_matmul")
-        return acc
-    return _to_int32(np.matmul(a.astype(np.int64), b.astype(np.int64)), "exact_int_matmul")
+    if a.shape[-1] * _max_abs(a) * _max_abs(b) >= _FLOAT_EXACT_LIMIT:
+        raise ValueError("operands past the float64 bound in exact_int_matmul: "
+                         "depth * max|a| * max|b| reaches 2**53")
+    acc = np.matmul(a, b, dtype=np.float64)
+    _check_int32(acc, "exact_int_matmul")
+    return acc
 
 
 def _operand(x, qp: QuantParams, lut, side: int):
@@ -226,9 +223,9 @@ def _operand(x, qp: QuantParams, lut, side: int):
 def _dequantized_product(a, b, lut, scale) -> np.ndarray:
     """The product of two quantized operands, through the LUT (or the exact
     reference when ``lut`` is None), times ``scale``: a scalar, or one scale
-    per output column. A float64 accumulator (the closed form's, or the
-    exact reference's below its float64 bound) is scaled in place; an int32
-    one into a new float64 array."""
+    per output column. A float64 accumulator (the closed form's or the
+    exact reference's) is scaled in place; an int32 one into a new float64
+    array."""
     acc = axx_matmul(a, b, lut) if lut is not None else exact_int_matmul(a, b)
     if acc.dtype == np.float64:
         acc *= scale
@@ -434,8 +431,6 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
     of the weights and scales of this moment, so they must not be used
     after either changes.
     """
-    if qps is None and lut is not None:
-        raise RuntimeError("missing calibration scales for quantized matmul")
     p, pre = model.params, f"block{i}."
     weights = {}
     for role, names in _LINEAR_WEIGHTS.items():
@@ -454,14 +449,13 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
     return weights
 
 
-def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=None):
+def block_forward(model: VitModel, i: int, x, plan, collect=False):
     """Pre-norm transformer block i: y = x + MHA(LN1(x)), out = y + FFN(LN2(y)).
 
-    qps: the block's QuantParams (``model.block_qps(i)``), or None for real
-    arithmetic; lut: its ProductLut, or None for the exact integer reference;
-    weights: ``block_weights(model, i, qps, lut)``, as ``block_plan``
-    builds it for every forward pass of the package; built here when not
-    given, for a direct call.
+    plan: block i's ``block_plan`` entry ``(qps, lut, weights)``: the block's
+    QuantParams (``model.block_qps(i)``), or None for real arithmetic; its
+    ProductLut, or None for the exact integer reference; and
+    ``block_weights(model, i, qps, lut)``.
     x is only read, never written. Returns the block output, or (output,
     cache) when collect is set. The cache holds the tensor each activation
     quantizer sees, keyed by role (ACTIVATION_ROLES; q, k, v split into
@@ -476,8 +470,7 @@ def block_forward(model: VitModel, i: int, x, qps, lut, collect=False, weights=N
     """
     p = model.params
     pre = f"block{i}."
-    if weights is None:
-        weights = block_weights(model, i, qps, lut)
+    qps, lut, weights = plan
     cache = {}
     keep = cache.update if collect else lambda **_: None
 
@@ -535,11 +528,10 @@ def run_blocks(model: VitModel, plan, xs, first=0, observe=None):
     block i's cache, which stays alive until block i+1 has returned."""
     for x in xs:
         for i in range(first, len(plan)):
-            qps, lut, weights = plan[i]
             if observe is None:
-                x = block_forward(model, i, x, qps, lut, weights=weights)
+                x = block_forward(model, i, x, plan[i])
             else:
-                x, cache = block_forward(model, i, x, qps, lut, collect=True, weights=weights)
+                x, cache = block_forward(model, i, x, plan[i], collect=True)
                 observe(i, cache)
         yield x
 

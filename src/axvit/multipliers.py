@@ -43,6 +43,8 @@ class AxMultiplier:
     delay_ns: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         if self.kind not in KIND_PARAM:
             raise ValueError(f"unknown multiplier kind {self.kind!r}")
         for attr in ("bitwidth", "k", "r"):

@@ -215,18 +215,19 @@ def block_out_of_place(model, i, x, qps, lut):
 def probe_blocks(model, assignment, catalog, patches, batch=64):
     """Fresh forward passes over the probe, `batch` samples at a time, as
     evaluate_accuracy runs them: per chunk, the embedded input and each
-    block's output under `assignment`. The embedding is written out here; the
-    blocks are the package's block_forward."""
-    from axvit.model import block_forward
+    block's output under `assignment`. The embedding and the block loop are
+    written out here; the blocks are the package's block_forward on plans
+    built here, once per call."""
+    from axvit.model import block_forward, block_plan
 
     patches = np.asarray(patches, dtype=np.float64)
-    luts = [catalog.lut(name) for name in assignment]
+    plan = [block_plan(model, i, catalog.lut(name)) for i, name in enumerate(assignment)]
     chunks = []
     for start in range(0, patches.shape[0], batch):
         x = patches[start:start + batch] @ model.params["embed.w"] + model.params["embed.b"]
         xs = [x]
-        for i, lut in enumerate(luts):
-            x = block_forward(model, i, x, model.block_qps(i), lut)
+        for i, block in enumerate(plan):
+            x = block_forward(model, i, x, block)
             xs.append(x)
         chunks.append(xs)
     return chunks

@@ -124,6 +124,14 @@ class TestCatalogValues:
                                            f"power_mw must be finite and >= 0, got {value!r}\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "search", "error-metrics"])
+    def test_non_string_name(self, workspace, tmp_path, capsys, command):
+        row = {"name": 5, "bitwidth": 8, "kind": "exact", "power_mw": 0.4}
+        catalog = self.run_with(tmp_path, workspace, command, row)
+        assert capsys.readouterr().err == (f"axvit {command}: {catalog}: entry 0: "
+                                           f"name must be a non-empty string, got 5\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestCalibrate:
     def test_deterministic_and_monotone(self, workspace, tmp_path):
@@ -317,6 +325,43 @@ class TestFinetune:
         assert columns == ["step", "loss"]
         assert len(rows) == 7
         assert all(np.isfinite(float(r[1])) for r in rows)
+
+
+class TestOverflowingCheckpoint:
+    """A checkpoint of finite weights whose forward pass overflows ends each
+    command in its one-line error, with no numpy warning before it."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, workspace):
+        out = str(workspace["root"] / "overflow")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("finetune", "--model", workspace["ckpt"], "--dataset",
+                       workspace["data"], "--config", "mul8s_1KV6", "--out", out,
+                       "--iters", "1", "--lr", "1e308", "--fraction", "1") == 0
+        ckpt = os.path.join(out, "finetuned.ckpt")
+        ax.load_checkpoint(ckpt)  # its weights are finite
+        return ckpt
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("eval", ["--config", "mul8s_1KV6"],
+         "the forward pass gave non-finite logits: an activation overflowed"),
+        ("search", ["--sims", "2", "--out"],
+         "the forward pass gave non-finite logits: an activation overflowed"),
+        ("sensitivity", [], "the forward pass gave non-finite logits: an activation overflowed"),
+        ("calibrate", ["--out"], "calibration data contains NaN or Inf"),
+    ], ids=["eval", "search", "sensitivity", "calibrate"])
+    def test_one_line_error_without_warnings(self, workspace, overflowing, tmp_path, capsys,
+                                            command, argv, message):
+        out = tmp_path / "out"
+        if argv[-1:] == ["--out"]:
+            argv = argv + [str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, "--model", overflowing, "--dataset", workspace["data"],
+                       *argv) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"axvit {command}: {message}\n"
+        assert not out.exists()
 
 
 class TestSensitivity:

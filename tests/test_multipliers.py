@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -313,6 +314,19 @@ class TestValidation:
         fields = {"bitwidth": 8, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             AxMultiplier("m", kind=kind, **fields)
+
+    @pytest.mark.parametrize("name", [5, "", None, b"m"])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="name must be a non-empty string"):
+            AxMultiplier(name, 8)
+
+    def test_catalog_entry_with_a_non_string_name(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([{"name": 5, "bitwidth": 8, "kind": "exact",
+                                     "power_mw": 0.4}]))
+        with pytest.raises(ValueError) as exc:
+            load_catalog(str(path))
+        assert str(exc.value) == f"{path}: entry 0: name must be a non-empty string, got 5"
 
     @pytest.mark.parametrize("field", ["power_mw", "area_um2", "delay_ns"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])

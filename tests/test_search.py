@@ -446,9 +446,9 @@ class TestPrefixMemo:
         calls = []
         real = ax.model.block_forward
 
-        def spy(m, i, x, qps, lut, collect=False, weights=None):
+        def spy(m, i, x, plan, collect=False):
             calls.append(x.shape[0])
-            return real(m, i, x, qps, lut, collect, weights)
+            return real(m, i, x, plan, collect)
 
         monkeypatch.setattr(ax.model, "block_forward", spy)
         table = se.profile_sensitivity(model, catalog, patches[:96], labels[:96])
@@ -470,9 +470,9 @@ class TestPrefixMemo:
             evaluated.append(tuple(args[1]))
             return real_predict(*args)
 
-        def spy_block(m, i, x, qps, lut, collect=False, weights=None):
-            blocks.append((i, name_of[id(lut)], x.shape[0]))
-            return real_block(m, i, x, qps, lut, collect, weights)
+        def spy_block(m, i, x, plan, collect=False):
+            blocks.append((i, name_of[id(plan[1])], x.shape[0]))
+            return real_block(m, i, x, plan, collect)
 
         monkeypatch.setattr(se, "predict_accuracy", spy_predict)
         monkeypatch.setattr(ax.model, "block_forward", spy_block)
@@ -648,6 +648,6 @@ class TestKernelAccounting:
 
         monkeypatch.setattr(nn, "axx_matmul", spy)
         x = nn.embed(model, patches[:40])
-        nn.block_forward(model, 1, x, model.block_qps(1), catalog.lut(table))
+        nn.block_forward(model, 1, x, nn.block_plan(model, 1, catalog.lut(table)))
         kind = "prepared" if table == "mul8s_1KV6" else "int"
         assert seen == [[(kind, True), (kind, True)]] * 2
