@@ -260,6 +260,11 @@ def cmd_finetune(args) -> int:
                              iterations=args.iters, batch_size=args.batch,
                              data_fraction=args.fraction, seed=args.seed)
     losses = tr.finetune(model, config, patches, labels, hp, catalog)
+    # the loop checks each step's own forward and backward, not the weights
+    # the last update leaves: one batch's forward checks them before any write
+    logits = nn.vit_forward(model, patches[:hp.batch_size], [catalog.lut(n) for n in config])
+    if not np.isfinite(logits).all():
+        raise RuntimeError("training diverged: the final weights give non-finite logits")
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "finetuned.ckpt")
     _atomic_write(ckpt, lambda tmp: nn.save_checkpoint(model, tmp))

@@ -240,8 +240,6 @@ def _matmul(x, y, qp_x: QuantParams | None, qp_y: QuantParams | None, lut) -> np
     real arithmetic."""
     if qp_x is None and qp_y is None and lut is None:
         return x @ y
-    if qp_x is None or qp_y is None:
-        raise RuntimeError("missing calibration scales for quantized matmul")
     return _dequantized_product(_operand(x, qp_x, lut, 0), _operand(y, qp_y, lut, 1), lut,
                                 qp_x.scale * qp_y.scale)
 
@@ -294,10 +292,8 @@ def gelu(x, t=None):
     return np.multiply(0.5 * x, y, out=y if isinstance(y, np.ndarray) else None)
 
 
-def gelu_grad(x, t=None):
-    """Derivative of ``gelu``; t, when given, is ``_gelu_tanh(x)``."""
-    if t is None:
-        t = _gelu_tanh(x)
+def gelu_grad(x, t):
+    """Derivative of ``gelu``; t is ``_gelu_tanh(x)``."""
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
 
 

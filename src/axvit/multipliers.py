@@ -120,11 +120,6 @@ class ProductLut:
         # add in intp: the offset does not fit a narrow operand dtype
         return np.add(x, -signed_range(self.bitwidth)[0], dtype=np.intp)
 
-    def __eq__(self, other):
-        return (isinstance(other, ProductLut)
-                and self.bitwidth == other.bitwidth
-                and np.array_equal(self.entries, other.entries))
-
 
 def _check_range(bitwidth: int, x, what: str):
     lo, hi = signed_range(bitwidth)
@@ -307,9 +302,6 @@ class Catalog:
     def names(self) -> list[str]:
         return list(self._mults)
 
-    def __len__(self):
-        return len(self._mults)
-
     def __contains__(self, name):
         return name in self._mults
 
@@ -351,20 +343,6 @@ def parse_multiplier_spec(spec: str, **hw) -> AxMultiplier:
         raise ValueError(f"{spec!r}: kind {kind} takes "
                          + (f"parameter {param}" if param else "no parameter"))
     return AxMultiplier(spec, int(b), kind, **({pk: int(pv)} if pk else {}), **hw)
-
-
-def save_catalog(catalog: Catalog, path: str) -> None:
-    rows = []
-    for m in catalog:
-        row = {"name": m.name, "bitwidth": m.bitwidth, "kind": m.kind,
-               "power_mw": m.power_mw, "area_um2": m.area_um2, "delay_ns": m.delay_ns}
-        param = KIND_PARAM[m.kind]
-        if param:
-            row[param] = getattr(m, param)
-        rows.append(row)
-    with open(path, "w") as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
 
 
 def load_catalog(path: str) -> Catalog:

@@ -238,10 +238,6 @@ def dequantize(q, qp: QuantParams) -> np.ndarray:
     return np.asarray(q, dtype=np.float64) * qp.scale
 
 
-def fake_quant(x, qp: QuantParams) -> np.ndarray:
-    return dequantize(quantize(x, qp), qp)
-
-
 def fake_quant_ste_grad(upstream_grad, x, qp: QuantParams | None) -> np.ndarray:
     """STE backward of fake quantization: pass inside the clip, zero outside;
     with no scale (an unquantized operand) everything passes."""

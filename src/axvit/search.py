@@ -94,7 +94,7 @@ class SearchResult:
 
     def best_root_action(self) -> str:
         """Most visited root action (diagnostic)."""
-        visits = [c.visits if c else 0 for c in (self.root.children or [])]
+        visits = [c.visits for c in self.root.children]
         return self.acu_names[int(np.argmax(visits))]
 
 

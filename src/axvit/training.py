@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model as nn
 from .multipliers import AxMultiplier, build_lut
-from .quant import QuantParams, fake_quant_ste_grad as ste, max_scale
+from .quant import fake_quant_ste_grad as ste, max_scale
 
 
 @dataclass
@@ -265,66 +265,3 @@ def toy_attention_experiment(mult: AxMultiplier, iterations: int = 500,
             w["w" + r] -= learning_rate * gw
     return ToyAttentionResult(losses=losses, outputs=out, targets=target)
 
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SteCheckResult:
-    max_rel_deviation: float
-    analytic: np.ndarray
-    finite_diff: np.ndarray
-    inside_clip: np.ndarray
-
-
-def ste_gradient_check(probe, epsilon: float = 1e-4, kind: str = "linear",
-                       clip: float | None = None, seed: int = 0,
-                       bitwidth: int = 8) -> SteCheckResult:
-    """Compare the STE backward of an exact-LUT fake-quant layer against
-    central finite differences of the real-arithmetic layer.
-
-    The deviation is taken over probe components inside the clip range;
-    clipped components carry an analytic gradient of exactly zero.
-    """
-    if kind not in ("linear", "gelu"):
-        raise ValueError(f"unknown layer kind {kind!r}")
-    x = np.asarray(probe, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("probe must be a 1-D vector")
-    if clip is None:
-        clip = 1.5 * float(np.abs(x).max())
-    qp = QuantParams.from_clip(clip, bitwidth)
-
-    if np.any(np.abs(np.abs(x) - qp.clip) < epsilon):
-        raise ValueError("rejected probe: component within epsilon of the clip boundary")
-    frac = np.abs((np.abs(x) / qp.scale) % 1.0 - 0.5) * qp.scale
-    if np.any((frac < epsilon) & (np.abs(x) <= qp.clip)):
-        raise ValueError("rejected probe: component within epsilon of a rounding boundary")
-
-    rng = np.random.default_rng(seed)
-    n = x.size
-    m = max(2, n // 2)
-    w = rng.normal(0, 1 / np.sqrt(n), (n, m))
-    b = rng.normal(0, 0.1, m)
-    r = rng.normal(0, 1, m)  # fixed projection making the output a scalar
-
-    def real_layer(xv):
-        h = xv @ w + b
-        return (nn.gelu(h) if kind == "gelu" else h) @ r
-
-    h = x @ w + b
-    g_h = r * (nn.gelu_grad(h) if kind == "gelu" else 1.0)
-    inside = np.abs(x) <= qp.clip
-    analytic, _, _ = linear_backward(g_h, x, w, qp, None)
-
-    fd = np.empty(n)
-    for j in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += epsilon
-        xm[j] -= epsilon
-        fd[j] = (real_layer(xp) - real_layer(xm)) / (2 * epsilon)
-
-    denom = max(float(np.abs(fd[inside]).max()) if inside.any() else 0.0, 1e-12)
-    dev = float(np.abs(analytic[inside] - fd[inside]).max() / denom) if inside.any() else 0.0
-    return SteCheckResult(dev, analytic, fd, inside)

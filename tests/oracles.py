@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 Everything here is deliberately written at the bit level with plain loops or
 the most direct numpy expression, sharing no code with the package under
-test."""
+test, except where a docstring names the package code an oracle calls."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,3 +279,67 @@ class NumpyHistogramCalibrator:
             self.counts += np.histogram(absv, self.num_bins, (0.0, self.observed_max))[0]
         self.total += absv.size
         return self
+
+
+@dataclass
+class SteCheckResult:
+    max_rel_deviation: float
+    analytic: np.ndarray
+    finite_diff: np.ndarray
+    inside_clip: np.ndarray
+
+
+def ste_gradient_check(probe, epsilon=1e-4, kind="linear", clip=None, seed=0, bitwidth=8):
+    """Compare the package's STE backward of a fake-quant linear layer,
+    optionally followed by GELU, against central finite differences of the
+    real-arithmetic layer. GELU and its derivative are gelu_pow and
+    gelu_grad_pow; the package code called is training.linear_backward (the
+    function checked) and QuantParams.
+
+    The deviation is taken over probe components inside the clip range;
+    clipped components carry an analytic gradient of exactly zero.
+    """
+    from axvit.quant import QuantParams
+    from axvit.training import linear_backward
+
+    if kind not in ("linear", "gelu"):
+        raise ValueError(f"unknown layer kind {kind!r}")
+    x = np.asarray(probe, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("probe must be a 1-D vector")
+    if clip is None:
+        clip = 1.5 * float(np.abs(x).max())
+    qp = QuantParams.from_clip(clip, bitwidth)
+
+    if np.any(np.abs(np.abs(x) - qp.clip) < epsilon):
+        raise ValueError("rejected probe: component within epsilon of the clip boundary")
+    frac = np.abs((np.abs(x) / qp.scale) % 1.0 - 0.5) * qp.scale
+    if np.any((frac < epsilon) & (np.abs(x) <= qp.clip)):
+        raise ValueError("rejected probe: component within epsilon of a rounding boundary")
+
+    rng = np.random.default_rng(seed)
+    n = x.size
+    m = max(2, n // 2)
+    w = rng.normal(0, 1 / np.sqrt(n), (n, m))
+    b = rng.normal(0, 0.1, m)
+    r = rng.normal(0, 1, m)  # fixed projection making the output a scalar
+
+    def real_layer(xv):
+        h = xv @ w + b
+        return (gelu_pow(h) if kind == "gelu" else h) @ r
+
+    h = x @ w + b
+    g_h = r * (gelu_grad_pow(h) if kind == "gelu" else 1.0)
+    inside = np.abs(x) <= qp.clip
+    analytic, _, _ = linear_backward(g_h, x, w, qp, None)
+
+    fd = np.empty(n)
+    for j in range(n):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += epsilon
+        xm[j] -= epsilon
+        fd[j] = (real_layer(xp) - real_layer(xm)) / (2 * epsilon)
+
+    denom = max(float(np.abs(fd[inside]).max()) if inside.any() else 0.0, 1e-12)
+    dev = float(np.abs(analytic[inside] - fd[inside]).max() / denom) if inside.any() else 0.0
+    return SteCheckResult(dev, analytic, fd, inside)

@@ -18,6 +18,7 @@ from oracles import (
     reference_policy,
     reference_power_reduction,
     reference_ucb,
+    ste_gradient_check,
     truncated_product,
 )
 
@@ -127,10 +128,10 @@ def test_criterion_04_quantization_properties(capsys):
     rng = np.random.default_rng(0)
     qp = ax.QuantParams(scale=0.03, bitwidth=8)
     x = rng.uniform(-qp.clip, qp.clip, size=100_000)
-    from axvit.quant import fake_quant
-    roundtrip_ok = np.abs(fake_quant(x, qp) - x).max() <= qp.scale / 2 + 1e-12
+    roundtrip_ok = np.abs(ax.dequantize(ax.quantize(x, qp), qp) - x).max() \
+        <= qp.scale / 2 + 1e-12
 
-    ste = tr.ste_gradient_check(np.random.default_rng(3).normal(size=32),
+    ste = ste_gradient_check(np.random.default_rng(3).normal(size=32),
                                 kind="linear")
     ste_ok = ste.max_rel_deviation < 1e-3
 

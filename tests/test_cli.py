@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import axvit as ax
 from axvit import cli
 from axvit import data as dt
+from axvit import training as tr
 from axvit.multipliers import AxMultiplier, approx_products, build_lut, load_lut, save_lut
 
 
@@ -326,6 +327,19 @@ class TestFinetune:
         assert len(rows) == 7
         assert all(np.isfinite(float(r[1])) for r in rows)
 
+    @pytest.mark.parametrize("config, lr", [("mul8s_1L2H", "1e300"), ("mul8s_1KV6", "1e308")])
+    def test_overflowing_final_weights_are_not_written(self, workspace, tmp_path, capsys,
+                                                       config, lr):
+        """A last update whose weights overflow the next forward pass ends in
+        one line, and no file is written."""
+        out = tmp_path / "ft"
+        assert run("finetune", "--model", workspace["ckpt"], "--dataset", workspace["data"],
+                   "--config", config, "--out", str(out), "--iters", "1", "--lr", lr,
+                   "--fraction", "1") == 1
+        assert capsys.readouterr().err == \
+            "axvit finetune: training diverged: the final weights give non-finite logits\n"
+        assert not out.exists()
+
 
 class TestOverflowingCheckpoint:
     """A checkpoint of finite weights whose forward pass overflows ends each
@@ -333,12 +347,14 @@ class TestOverflowingCheckpoint:
 
     @pytest.fixture(scope="class")
     def overflowing(self, workspace):
-        out = str(workspace["root"] / "overflow")
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert run("finetune", "--model", workspace["ckpt"], "--dataset",
-                       workspace["data"], "--config", "mul8s_1KV6", "--out", out,
-                       "--iters", "1", "--lr", "1e308", "--fraction", "1") == 0
-        ckpt = os.path.join(out, "finetuned.ckpt")
+        """The library finetune's one step at a rate of 1e308, which leaves
+        finite weights that overflow (axvit finetune refuses to write them)."""
+        model = ax.load_checkpoint(workspace["ckpt"])
+        patches, labels = cli._load_dataset(workspace["data"])
+        hp = tr.TrainHyperparams(learning_rate=1e308, iterations=1, data_fraction=1.0)
+        tr.finetune(model, ["mul8s_1KV6"] * 2, patches, labels, hp, ax.builtin_catalog())
+        ckpt = str(workspace["root"] / "overflow.ckpt")
+        ax.save_checkpoint(model, ckpt)
         ax.load_checkpoint(ckpt)  # its weights are finite
         return ckpt
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
@@ -15,7 +17,9 @@ from axvit import data as dt
 from axvit.model import (
     ACTIVATION_ROLES,
     BATCH,
+    WEIGHT_ROLES,
     PreparedOperand,
+    VitModel,
     _gelu_tanh,
     _matmul,
     attention_forward,
@@ -30,6 +34,7 @@ from axvit.model import (
     gelu,
     gelu_grad,
     layer_norm,
+    param_shapes,
     prepare_operand,
     refresh_weight_scales,
     run_blocks,
@@ -188,8 +193,11 @@ class TestBlocks:
         assert np.array_equal(via_lut, via_ref)
 
     def test_linear_requires_scales(self):
+        """A LUT forward pass needs the scales of every quantized operand."""
+        model = ax.init_model(ax.ModelConfig(num_layers=1, embed_dim=16, num_heads=2,
+                                             ffn_dim=32))
         with pytest.raises(RuntimeError, match="calibration"):
-            _matmul(np.ones((2, 2)), np.ones((2, 2)), None, None, EXACT_LUT)
+            ax.vit_forward(model, np.zeros((2, 16, 16)), [EXACT_LUT])
 
     def test_attention_single_token(self):
         one = np.array([[1.0]])
@@ -264,15 +272,14 @@ class TestBlocks:
         assert gelu(0.0) == 0.0
 
     def test_block_caches_the_gelu_tanh_it_used(self, small_calibrated_model, toy_data):
-        """The backward's derivative from the cached tanh is the one from the
-        GELU input, bit for bit."""
+        """The cached tanh is the GELU input's, bit for bit, so the backward's
+        derivative from it is the derivative at that input."""
         model = small_calibrated_model
         x = ax.model.embed(model, toy_data[0][:6])
         _, bc = block_forward(model, 0, x, block_plan(model, 0, TRUNC2_LUT), collect=True)
         h, t = bc["ffn_h"], bc["ffn_t"]
         assert t.tobytes() == _gelu_tanh(h).tobytes()
         assert bc["ffn_mid"].tobytes() == gelu(h).tobytes()
-        assert gelu_grad(h, t).tobytes() == gelu_grad(h).tobytes()
 
     def test_layer_norm_normalizes(self):
         x = np.random.default_rng(9).normal(size=(3, 8), loc=4.0, scale=2.0)
@@ -288,7 +295,7 @@ class TestBlocks:
         """The cube as x * x * x moves GELU and its derivative by rounding
         only: same finiteness and NaN-ness, and a few ulps where finite."""
         with np.errstate(all="ignore"):
-            pairs = [(gelu(x), gelu_pow(x)), (gelu_grad(x), gelu_grad_pow(x))]
+            pairs = [(gelu(x), gelu_pow(x)), (gelu_grad(x, _gelu_tanh(x)), gelu_grad_pow(x))]
         bound = 8 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(x))
         for new, old in pairs:
             assert np.array_equal(np.isnan(new), np.isnan(old))
@@ -759,6 +766,12 @@ class TestRunBlocks:
         assert built == list(range(model.cfg.num_layers))
 
 
+# finite weights, with the edge values a checkpoint must keep bit for bit
+CHECKPOINT_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                      1e300, -1e300, np.finfo(np.float64).max])
+                     | st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestCalibrateAndCheckpoint:
     def test_calibrate_deterministic_and_positive(self, toy_data):
         patches, _ = toy_data
@@ -812,6 +825,42 @@ class TestCalibrateAndCheckpoint:
             want = ax.vit_forward(small_calibrated_model, patches[:8], luts)
             got = ax.vit_forward(loaded, patches[:8], luts)
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint_roundtrip_is_bit_exact(self, data):
+        """Any model, calibrated or not, loads back equal bit for bit: config,
+        bitwidth, every scale and every tensor's bytes, -0.0, subnormals and
+        magnitudes near the float64 limit included."""
+        heads = data.draw(st.integers(1, 3), label="heads")
+        cfg = ax.ModelConfig(
+            num_layers=data.draw(st.integers(1, 3), label="layers"),
+            embed_dim=heads * data.draw(st.integers(1, 3), label="head_dim"),
+            num_heads=heads, ffn_dim=data.draw(st.integers(1, 6), label="ffn_dim"),
+            num_patches=data.draw(st.integers(1, 4), label="patches"),
+            num_classes=data.draw(st.integers(1, 4), label="classes"),
+            patch_dim=data.draw(st.integers(1, 4), label="patch_dim"))
+        params = {name: data.draw(arrays(np.float64, shape, elements=CHECKPOINT_VALUES),
+                                  label=name)
+                  for name, shape in param_shapes(cfg).items()}
+        scales = data.draw(st.none() | st.fixed_dictionaries(
+            {f"block{i}.{role}": st.floats(min_value=5e-324, max_value=1e300)
+             for i in range(cfg.num_layers) for role in ACTIVATION_ROLES + WEIGHT_ROLES}),
+            label="scales")
+        model = VitModel(cfg, params, scales,
+                                  bitwidth=data.draw(st.integers(2, 12), label="bitwidth"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.ckpt")
+            ax.save_checkpoint(model, path)
+            loaded = ax.load_checkpoint(path)
+        assert loaded.cfg == cfg and loaded.bitwidth == model.bitwidth
+        hexed = (lambda s: None if s is None else {k: v.hex() for k, v in s.items()})
+        assert hexed(loaded.scales) == hexed(scales)
+        assert loaded.params.keys() == params.keys()
+        for name, t in params.items():
+            assert loaded.params[name].dtype == np.float64
+            assert loaded.params[name].shape == t.shape
+            assert loaded.params[name].tobytes() == t.tobytes(), name
 
     def test_checkpoint_deterministic_bytes(self, small_calibrated_model, tmp_path):
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")

