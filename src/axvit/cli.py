@@ -215,9 +215,8 @@ def cmd_init_model(args) -> int:
     model = nn.init_model(cfg, seed=args.seed, bitwidth=args.bitwidth)
     if args.train_iters:
         patches, labels = _load_dataset(args.dataset)
-        hp = tr.TrainHyperparams(optimizer="adam", learning_rate=args.lr,
-                                 iterations=args.train_iters, batch_size=64,
-                                 data_fraction=1.0, seed=args.seed)
+        hp = tr.TrainHyperparams(learning_rate=args.lr, iterations=args.train_iters,
+                                 batch_size=64, data_fraction=1.0, seed=args.seed)
         losses = tr.train_float(model, patches, labels, hp)
         print(f"trained {args.train_iters} steps, final loss {losses[-1]:.4f}")
         nn.calibrate(model, patches[:256])
@@ -256,9 +255,9 @@ def cmd_eval(args) -> int:
 def cmd_finetune(args) -> int:
     model, catalog, patches, labels = _load_inputs(args)
     config = _parse_config(args.config, model.cfg.num_layers, catalog)
-    hp = tr.TrainHyperparams(optimizer="adam", learning_rate=args.lr,
-                             iterations=args.iters, batch_size=args.batch,
-                             data_fraction=args.fraction, seed=args.seed)
+    hp = tr.TrainHyperparams(learning_rate=args.lr, iterations=args.iters,
+                             batch_size=args.batch, data_fraction=args.fraction,
+                             seed=args.seed)
     losses = tr.finetune(model, config, patches, labels, hp, catalog)
     # the loop checks each step's own forward and backward, not the weights
     # the last update leaves: one batch's forward checks them before any write

@@ -583,8 +583,9 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
 
     luts: per-block ProductLut list, or None for the exact integer reference
     path (only meaningful when quantized). Returns logits, or (logits, cache)
-    when collect is set. The cache holds patches, pooled and, under
-    "blocks", each block's ``block_forward`` cache.
+    when collect is set. The cache holds patches, pooled, under "blocks"
+    each block's ``block_forward`` cache and under "qps" each block's plan
+    QuantParams (None in real arithmetic).
     """
     patches = forward_inputs(model, patches, luts)
     plan = [block_plan(model, i, lut, quantized)
@@ -594,7 +595,8 @@ def vit_forward(model: VitModel, patches, luts=None, quantized=True, collect=Fal
                       observe=(lambda i, cache: blocks.append(cache)) if collect else None)
     logits, pooled = pool_head(model, x)
     if collect:
-        return logits, {"patches": patches, "blocks": blocks, "pooled": pooled}
+        return logits, {"patches": patches, "blocks": blocks, "pooled": pooled,
+                        "qps": [qps for qps, _, _ in plan]}
     return logits
 
 

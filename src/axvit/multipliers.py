@@ -2,9 +2,9 @@
 
 A multiplier is described behaviorally (exact, LSB truncation, partial-product
 perforation, or an externally supplied LUT) together with its hardware cost
-(power/area/delay). For bitwidths up to 12 the full product table can be
-enumerated into a dense LUT that replaces the multiply operator during
-emulation.
+(power/area/delay). Its bitwidth is at most MAX_LUT_BITWIDTH (12), so its
+full product table can always be enumerated into a dense LUT, which replaces
+the multiply operator during emulation.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ class AxMultiplier:
         for attr in ("bitwidth", "k", "r"):
             if type(getattr(self, attr)) is not int:
                 raise ValueError(f"{attr} must be an integer, got {getattr(self, attr)!r}")
-        if not 2 <= self.bitwidth <= 16:
-            raise ValueError(f"bitwidth must be in [2, 16], got {self.bitwidth}")
+        # the table cap: every multiplier runs as a ProductLut
+        if not 2 <= self.bitwidth <= MAX_LUT_BITWIDTH:
+            raise ValueError(f"bitwidth must be in [2, {MAX_LUT_BITWIDTH}], got {self.bitwidth}")
         for param in filter(None, KIND_PARAM.values()):
             value = getattr(self, param)
             if param != KIND_PARAM[self.kind] and value != getattr(AxMultiplier, param):
@@ -173,7 +174,7 @@ def _operands(bitwidth: int) -> np.ndarray:
 
 
 def approx_product(m: AxMultiplier, x: int, y: int) -> int:
-    """Approximate product of two signed integers (functional mode).
+    """Approximate product of two signed integers.
 
     Deterministic: the result depends only on (x, y).
     """
@@ -193,10 +194,6 @@ def build_lut(m: AxMultiplier) -> ProductLut:
     """The product LUT over all 2**(2b) operand pairs: a behavioral
     multiplier's is the outer product of its truncated operands, an external
     multiplier's is the table it loads."""
-    if m.bitwidth > MAX_LUT_BITWIDTH:
-        raise ValueError(
-            f"bitwidth {m.bitwidth} exceeds LUT cap of {MAX_LUT_BITWIDTH} bits; "
-            "use functional mode (approx_product) instead")
     if m.kind == "external":
         return _external_lut(m)
     return ProductLut.from_truncations(m.bitwidth, *_truncations(m))

@@ -18,7 +18,8 @@ from .quant import fake_quant_ste_grad as ste, max_scale
 
 @dataclass
 class TrainHyperparams:
-    optimizer: str = "adam"       # "adam" | "sgd"
+    # only "adam"; the field stays because callers pass optimizer="adam" by name
+    optimizer: str = "adam"
     learning_rate: float = 5e-5
     iterations: int = 100
     batch_size: int = 32
@@ -34,19 +35,10 @@ class TrainHyperparams:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 < self.data_fraction <= 1:
             raise ValueError("data_fraction must be in (0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-class Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for k, g in grads.items():
-            params[k] -= self.lr * g
 
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -116,8 +108,10 @@ def attention_backward(dout, cache, qps):
     return dq, dk, dv
 
 
-def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
-    """Gradients for every parameter given dL/dlogits and a forward cache."""
+def vit_backward(model: nn.VitModel, cache, dlogits):
+    """Gradients for every parameter given dL/dlogits and a forward cache.
+    The STE masks read the scales that the forward pass used, from the
+    cache's "qps"; a block run in real arithmetic masks nothing."""
     cfg = model.cfg
     p = model.params
     grads = {}
@@ -131,7 +125,7 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
     for i in reversed(range(cfg.num_layers)):
         bc = cache["blocks"][i]
         pre = f"block{i}."
-        qps = model.block_qps(i) if quantized else {}
+        qps = cache["qps"][i] or {}
 
         def linear(dy, role_x, role_w):
             dx_in, grads[pre + role_w], grads[pre + "b" + role_w[1:]] = linear_backward(
@@ -161,14 +155,13 @@ def vit_backward(model: nn.VitModel, cache, dlogits, quantized=True):
 def _train_loop(model, patches, labels, hp: TrainHyperparams, luts):
     """Trains on luts' quantized forward, or in real arithmetic when luts is
     None, and returns the per-step losses."""
-    quantized = luts is not None
     nn.check_labels(model, patches, labels)
     n = patches.shape[0]
     if n == 0:
         raise ValueError("the training set has no samples")
     rng = np.random.default_rng(hp.seed)
     subset = rng.permutation(n)[:max(1, int(round(n * hp.data_fraction)))]
-    opt = (Adam if hp.optimizer == "adam" else Sgd)(hp.learning_rate)
+    opt = Adam(hp.learning_rate)
     history = []
     # finite but huge weights (a rate like 1e308) overflow in the next
     # forward pass, before any loss exists to check; an overflow or invalid
@@ -178,14 +171,14 @@ def _train_loop(model, patches, labels, hp: TrainHyperparams, luts):
             for step in range(hp.iterations):
                 idx = subset[rng.integers(0, subset.size, size=min(hp.batch_size, subset.size))]
                 logits, cache = nn.vit_forward(model, patches[idx], luts,
-                                               quantized=quantized, collect=True)
+                                               quantized=luts is not None, collect=True)
                 loss, dlogits = softmax_xent(logits, labels[idx])
                 if not np.isfinite(loss):
                     raise RuntimeError(f"training diverged: non-finite loss at step {step}")
                 history.append(float(loss))
                 if hp.learning_rate == 0:
                     continue
-                grads = vit_backward(model, cache, dlogits, quantized=quantized)
+                grads = vit_backward(model, cache, dlogits)
                 opt.step(model.params, grads)
                 # weights drift during training; activation scales stay fixed
                 if model.scales is not None:

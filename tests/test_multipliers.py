@@ -99,8 +99,10 @@ class TestBuildLut:
             assert np.array_equal(build_lut(m).entries, want)
 
     def test_refuses_large_bitwidth(self):
-        with pytest.raises(ValueError, match="functional"):
-            build_lut(mult("exact", b=13))
+        """No multiplier is wider than the table cap, so every one has a LUT."""
+        for b in (13, 16):
+            with pytest.raises(ValueError, match=rf"^bitwidth must be in \[2, 12\], got {b}$"):
+                mult("exact", b=b)
 
     def test_entries_immutable(self):
         lut = build_lut(mult("exact", b=4))
