@@ -156,8 +156,12 @@ def axx_matmul(a, b, lut) -> np.ndarray:
                 and (a.k, b.k) == lut.truncations
                 and _prepares(lut, max(a.bitwidth, b.bitwidth), a.shape[-1])):
             raise ValueError("prepared operands do not match the product table")
-        a, b = _check_matmul_shapes(a.values, b.values)
-        acc = np.matmul(a, b)
+        if a.values.ndim < 2 or b.values.ndim < 2:  # np.matmul takes 1-D operands
+            raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
+        try:  # np.matmul checks the inner and stacked dimensions itself
+            acc = np.matmul(a.values, b.values)
+        except ValueError:
+            raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}") from None
         if a.shape[-1] * lut.max_abs > _INT32_MAX:
             _check_int32(acc, "axx_matmul")
         return acc
@@ -253,13 +257,65 @@ def attn_weight_qparams(bitwidth: int) -> QuantParams:
 # Real-arithmetic pieces
 # ---------------------------------------------------------------------------
 
+def _column_sums(t):
+    """``np.add.reduce`` of each column of the 2-D t, bit for bit that of the
+    column as one contiguous row wherever at most one NaN can arise in it:
+    the additions of numpy's pairwise sum along a row, each one a ufunc call
+    over every column. Below 8 entries, one by one from +0.0; up to 128,
+    8 interleaved partial sums, their fixed tree, then the remainder; past
+    128, the sums of the halves split at a multiple of 8. numpy's reduction
+    adds its sum to +0.0, so every sum up to 128 entries is added to +0.0
+    here: that turns -0.0 into +0.0 and leaves any other sum, and so any
+    sum of halves, as it is."""
+    n = len(t)
+    if n < 8:
+        s = t[0] + 0.0
+        for i in range(1, n):
+            s += t[i]
+        return s
+    if n <= 128:
+        m = n - n % 8
+        r = t[:8] if m == 8 else t[:8] + t[8:16]
+        for i in range(16, m, 8):
+            r += t[i:i + 8]
+        r = r[0::2] + r[1::2]  # (r0+r1), (r2+r3), (r4+r5), (r6+r7)
+        r = r[0::2] + r[1::2]
+        s = r[0] + r[1]
+        for i in range(m, n):
+            s += t[i]
+        s += 0.0
+        return s
+    h = n // 2 - n // 2 % 8
+    s = _column_sums(t[:h])
+    s += _column_sums(t[h:])
+    return s
+
+
 def softmax(x):
-    # the ufuncs' own reductions: x.max and x.sum run these behind Python
-    # wrappers
-    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, bit for bit the row reductions of a
+    C-ordered x (``tests/oracles.softmax_out_of_place``), computed on one
+    C-ordered copy of the rows as columns: each step is then one ufunc call
+    over every row, where numpy's row reductions loop once per short row.
+    The max is order-free except for which NaN it returns, so only rows
+    whose max is NaN take numpy's row reduction; ``_column_sums`` keeps
+    numpy's order of the sums. A row whose max is NaN is NaN throughout, so
+    its division keeps the numerators' NaNs whatever NaN its sum holds.
+    Returns a new C-ordered array; x is only read."""
+    n = x.shape[-1]
+    t = x.reshape(-1, n).T.copy()  # a copy even where the view is C-ordered
+    m = np.maximum.reduce(t, axis=0)
+    nan = np.isnan(m)
+    if nan.any():
+        m[nan] = np.maximum.reduce(x.reshape(-1, n)[nan], axis=-1)
+    t -= m
+    del m, nan
+    np.exp(t, out=t)
+    s = _column_sums(t)
+    t /= s
+    del s  # only t and the result are alive at the copy back
+    # one array of x's shape that owns its data: a reshaped view of the copy
+    # would keep a second array object alive as long as the result
+    return np.ascontiguousarray(t.T.reshape(x.shape))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -422,8 +478,10 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
 
     In real arithmetic (qps None) the operand is the concatenated weights
     and the scale is None. Quantized, each weight is quantized by its own
-    scale (prepared for lut's closed form, or int32) and the scale holds
-    one value per output column, ``sx * sw``. Operands are read-only copies
+    scale (prepared for lut's closed form, or int32), and the dequantization
+    scale is ``sx * sw``: one float for a role that one weight reads
+    (``attn_out``, ``ffn_in``, ``ffn_mid``), one value per output column for
+    ``[wq|wk|wv]``. Operands are read-only copies
     of the weights and scales of this moment, so they must not be used
     after either changes.
     """
@@ -439,8 +497,13 @@ def block_weights(model: VitModel, i: int, qps, lut) -> dict[str, tuple]:
         else:
             w = np.concatenate(ops, axis=1)
             w.flags.writeable = False
-        scale = None if qps is None else np.concatenate(
-            [np.full(p[pre + n].shape[1], qps[role].scale * qps[n].scale) for n in names])
+        if qps is None:
+            scale = None
+        elif len(names) == 1:  # a float: ``acc *= scale`` runs numpy's scalar loop
+            scale = qps[role].scale * qps[names[0]].scale
+        else:
+            scale = np.concatenate([np.full(p[pre + n].shape[1], qps[role].scale * qps[n].scale)
+                                    for n in names])
         weights[role] = (w, scale, np.concatenate([p[pre + "b" + n[1:]] for n in names]))
     return weights
 

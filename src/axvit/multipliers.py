@@ -174,15 +174,16 @@ def _operands(bitwidth: int) -> np.ndarray:
 
 
 def approx_product(m: AxMultiplier, x: int, y: int) -> int:
-    """Approximate product of two signed integers.
-
-    Deterministic: the result depends only on (x, y).
-    """
+    """Approximate product of two signed integers (``approx_products``)."""
     return int(approx_products(m, x, y))
 
 
 def approx_products(m: AxMultiplier, x, y) -> np.ndarray:
-    """Broadcasting array version of approx_product."""
+    """Broadcasting array version of approx_product. A behavioral
+    multiplier's products depend only on (x, y). An external multiplier's
+    are read from its AXLUT file, which each call loads and parses again:
+    a file rewritten between two calls changes their products, and a call
+    costs the whole load. ``Catalog.lut`` loads a table once and keeps it."""
     x = np.asarray(x)
     y = np.asarray(y)
     _check_range(m.bitwidth, x, "operand x")

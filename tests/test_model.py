@@ -20,6 +20,7 @@ from axvit.model import (
     WEIGHT_ROLES,
     PreparedOperand,
     VitModel,
+    _column_sums,
     _gelu_tanh,
     _matmul,
     attention_forward,
@@ -83,6 +84,20 @@ class TestAxxMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             axx_matmul(np.zeros((2, 3), int), np.zeros((4, 2), int), EXACT_LUT)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (4, 2)), ((2, 3, 4), (3, 4, 5)),
+                                                  ((4,), (4, 2))],
+                             ids=["inner", "stacks", "1-D"])
+    def test_prepared_shape_mismatch(self, a_shape, b_shape):
+        """A prepared pair whose inner dimensions differ, whose stacks do not
+        broadcast, or that is 1-D (which np.matmul itself would take) fails
+        with the integer operands' message."""
+        qp = QuantParams(scale=1.0, bitwidth=8)
+        a, b = (prepare_operand(np.ones(s), qp, k)
+                for s, k in zip((a_shape, b_shape), TRUNC2_LUT.truncations))
+        want = f"shape mismatch for matmul: {a_shape} x {b_shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            axx_matmul(a, b, TRUNC2_LUT)
 
     def test_operand_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -174,6 +189,35 @@ class TestExactIntMatmul:
     def test_non_integer_operands_raise(self):
         with pytest.raises(ValueError, match="must be integers"):
             exact_int_matmul(np.full((2, 2), 1.5), np.ones((2, 2), dtype=np.int32))
+
+
+@st.composite
+def sum_columns(draw):
+    """Columns of 1 to 300 entries (numpy's pairwise sum adds one by one below
+    8, in 8 partial sums to 128 and halves past that), with signed zeros,
+    infinities and NaNs of any payload and sign. A column holds at most one
+    NaN value, in one or more entries, and then infinities of one sign only:
+    where two different NaNs meet, which one an addition returns depends on
+    the SIMD loop numpy dispatches to, and +inf plus -inf makes a NaN of its
+    own. softmax's sums see at most one NaN value per row."""
+    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
+    # seeded normal values, whose rounding shows any change of order, then
+    # any floats in a few places
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(0.0, 10.0 ** draw(st.integers(-8, 8)), (n, draw(st.integers(1, 4))))
+    entries = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+    for _ in range(draw(st.integers(0, 6))):
+        t[draw(st.integers(0, n - 1)), draw(st.integers(0, t.shape[1] - 1))] = draw(entries)
+    if draw(st.booleans()):
+        t[:] = draw(st.sampled_from([0.0, -0.0]))
+    for col in t.T:
+        if draw(st.booleans()):
+            bits = draw(st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF))
+            nan = np.array([bits | draw(st.sampled_from([0, 1 << 63]))],
+                           dtype=np.uint64).view(np.float64)[0]
+            col[np.isinf(col)] = np.inf  # infinities of one sign next to the NaN
+            col[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))] = nan
+    return t
 
 
 class TestBlocks:
@@ -305,18 +349,46 @@ class TestBlocks:
             assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=20),
-                  elements=st.floats()))
+    @given(arrays(np.float64, st.tuples(array_shapes(min_dims=0, max_dims=3, max_side=5),
+                                        st.integers(1, 20) | st.integers(121, 300))
+                  .map(lambda s: s[0] + (s[1],)), elements=st.floats()))
     @example(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5.7e102, 1e154, 1.5e154,
                        -1e308, np.finfo(np.float64).max, 5e-324, -5e-324]))
+    @example(np.random.default_rng(2).normal(0, 4, (3, 2, 4, 16)))
+    @example(np.random.default_rng(3).normal(0, 4, (2, 3, 300)))  # rounding shows the order
     def test_in_place_softmax_and_gelu_bit_identical_to_out_of_place(self, x):
-        """Steps done in place on the functions' own new arrays give the bits
-        of the out-of-place expressions, non-finite values included."""
+        """Steps done in place on the functions' own new arrays, softmax's on
+        its rows as columns, give the bits of the out-of-place expressions,
+        non-finite values included: rows of 1 to 300 entries, numpy's
+        pairwise sums halving past 128, in 1-D to 4-D inputs; the result is
+        C-ordered and x is left as it was."""
+        before = x.tobytes()
         with np.errstate(all="ignore"):
             pairs = [(softmax(x), softmax_out_of_place(x)), (gelu(x), gelu_out_of_place(x)),
                      (gelu(x, _gelu_tanh(x)), gelu_out_of_place(x))]
+        assert x.tobytes() == before and pairs[0][0].flags.c_contiguous
         for got, want in pairs:
+            assert got.shape == want.shape
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_columns())
+    def test_column_sums_bit_identical_to_row_reduction(self, t):
+        """Each column's sum is numpy's pairwise sum of it as a row, bit for
+        bit: below 8 entries, 8 to 128 with remainders, and halving past
+        128, with signed zeros, infinities and NaN payloads."""
+        with np.errstate(all="ignore"):
+            got = _column_sums(t)
+            want = np.add.reduce(np.ascontiguousarray(t.T), axis=-1)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_column_sums_of_negative_zeros_are_positive(self):
+        """numpy sums a row of -0.0 to +0.0 at every length, because its
+        reduction starts from +0.0; so do the column sums."""
+        for n in range(1, 301):
+            t = np.full((n, 3), -0.0)
+            assert (_column_sums(t).tobytes() == np.add.reduce(t.T, axis=-1).tobytes()
+                    == np.zeros(3).tobytes()), n
 
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=40),
@@ -668,7 +740,8 @@ WEIGHT_PATHS = {"float": None, "int-reference": None, "behavioral": TRUNC2_LUT,
 
 class TestBlockWeights:
     """block_weights has one entry per activation role in every arithmetic:
-    the concatenated weights that read it, their per-column scales and
+    the concatenated weights that read it, their dequantization scale (a
+    float for a role one weight reads, per column for ``[wq|wk|wv]``) and
     their biases."""
 
     @pytest.mark.parametrize("path", WEIGHT_PATHS)
@@ -688,8 +761,13 @@ class TestBlockWeights:
                 assert isinstance(w, np.ndarray) and not w.flags.writeable
                 assert w.tobytes() == np.concatenate(ws, axis=1).tobytes()
                 continue
-            assert scale.tolist() == [qps[role].scale * qps["w" + n].scale
-                                      for n, t in zip(names, ws) for _ in range(t.shape[1])]
+            if len(names) == 1:
+                assert type(scale) is float
+                assert scale == qps[role].scale * qps["w" + names].scale
+            else:
+                assert isinstance(scale, np.ndarray) and scale.dtype == np.float64
+                assert scale.tolist() == [qps[role].scale * qps["w" + n].scale
+                                          for n, t in zip(names, ws) for _ in range(t.shape[1])]
             if path == "behavioral":
                 assert isinstance(w, PreparedOperand) and not w.values.flags.writeable
                 want = [prepare_operand(t, qps["w" + n], lut.truncations[1]).values
