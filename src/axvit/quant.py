@@ -58,16 +58,16 @@ class HistogramCalibrator:
 
     def __init__(self, num_bins: int = DEFAULT_NUM_BINS,
                  percentile: float = DEFAULT_PERCENTILE):
-        if num_bins < 1:
-            raise ValueError("num_bins must be >= 1")
+        if isinstance(num_bins, bool) or not isinstance(num_bins, (int, np.integer)) or num_bins < 1:
+            raise ValueError(f"num_bins must be an integer >= 1, got {num_bins!r}")
         if not 0 < percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
-        self.num_bins = num_bins
+        self.num_bins = int(num_bins)
         self.percentile = percentile
         self.observed_max = 0.0
         self.counts = np.zeros(num_bins, dtype=np.float64)
         self.total = 0
-        self._edges = None  # _bin_edges(observed_max, num_bins) once it is > 0
+        self._edges = None  # _bin_edges(observed_max, num_bins) for a subnormal step
 
     def observe(self, values) -> "HistogramCalibrator":
         """Accumulate absolute values; grows the range by rebinning if needed.
@@ -75,9 +75,9 @@ class HistogramCalibrator:
         The absolute values go straight into one new C-ordered array (a
         strided head view is copied once, not twice), and ``_bin_counts``
         bins them on [0, observed_max]: the counts ``np.histogram`` gives.
-        The bin edges are built only when the maximum rises, and before any
-        state changes, so a batch that is rejected leaves the calibrator as
-        it was."""
+        Only a subnormal step ``observed_max / num_bins`` needs bin edges (a
+        normal step's rise strictly), built when the maximum rises and before
+        any state changes, so a rejected batch leaves the calibrator as it was."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
@@ -86,14 +86,14 @@ class HistogramCalibrator:
         if not np.isfinite(new_max):  # NaN and ±inf carry through abs and max
             raise ValueError("calibration data contains NaN or Inf")
         if new_max > self.observed_max:
-            edges = _bin_edges(new_max, self.num_bins)
+            edges = None if new_max / self.num_bins >= _TINY else _bin_edges(new_max, self.num_bins)
             if self.observed_max > 0.0:  # zeros seen so far stay in bin 0
                 self.counts = _rebin(self.counts, self.observed_max, new_max)
             self.observed_max, self._edges = new_max, edges
         if self.observed_max == 0.0:
             self.counts[0] += absv.size  # only zeros seen so far
         else:
-            self.counts += _bin_counts(absv, self.observed_max, self._edges)
+            self.counts += _bin_counts(absv, self.observed_max, self.num_bins, self._edges)
         self.total += absv.size
         return self
 
@@ -116,11 +116,9 @@ class HistogramCalibrator:
 
 
 def _bin_edges(top: float, num_bins: int) -> np.ndarray:
-    """``np.histogram``'s ``num_bins + 1`` bin edges on [0, top], the
-    ``np.linspace(0.0, top, num_bins + 1)`` edges with the last one +inf: bin
-    i spans ``edges[i]`` to ``edges[i + 1]``, and the last bin takes top
-    itself. Raises numpy's error where the edges do not rise strictly (a
-    tiny top)."""
+    """``np.histogram``'s bin edges on [0, top], ``np.linspace(0.0, top,
+    num_bins + 1)`` with the last one +inf, so that the last bin takes top;
+    raises numpy's error where they do not rise strictly (a tiny top)."""
     edges = np.linspace(0.0, top, num_bins + 1)
     if np.any(edges[:-1] >= edges[1:]):  # numpy's check
         raise ValueError(f"Too many bins for data range. Cannot create {num_bins} "
@@ -129,41 +127,43 @@ def _bin_edges(top: float, num_bins: int) -> np.ndarray:
     return edges
 
 
-def _bin_counts(absv: np.ndarray, top: float, edges: np.ndarray) -> np.ndarray:
+def _bin_counts(absv: np.ndarray, top: float, num_bins: int,
+                edges: np.ndarray | None = None) -> np.ndarray:
     """``np.histogram(absv, num_bins, (0.0, top))[0]`` for finite
-    ``0 <= absv <= top``, given ``edges = _bin_edges(top, num_bins)``, with
-    numpy's own steps minus those that range makes unnecessary (the range
-    mask, subtracting the 0.0 edge).
+    ``0 <= absv <= top``, minus the steps that range makes unnecessary (the
+    range mask, subtracting the 0.0 edge); ``edges = _bin_edges(top,
+    num_bins)`` is given where the step ``top / num_bins`` is subnormal.
 
-    In units of the step ``top / num_bins``, numpy's bin estimate ``est =
-    absv / top * num_bins`` lies within about ``2 * 2**-53 * num_bins`` of
-    the exact quotient, and each ``linspace`` edge ``fl(i * fl(top /
-    num_bins))`` within as much of ``i``. An estimate farther than twice
-    that from every integer therefore names the bin whose edges hold the
-    value and goes straight to ``bincount``; ``_EDGE_MARGIN`` takes a wide
-    factor over the bound. The estimates near an integer (``top``'s among
-    them) take numpy's steps: capped at the last bin, which takes ``top``
-    itself, then one bin down if the value lies below the bin's lower edge
-    and one bin up if it reaches the upper edge (+inf for the last bin).
-    Both tests read the capped estimate: the edges rise strictly, so no
-    value moves both ways. Where ``top / num_bins`` is subnormal no
-    relative bound holds, and every value takes numpy's steps."""
-    num_bins = edges.size - 1
-    est = absv / top
-    est *= num_bins
-    if top / num_bins < _TINY:
-        near = slice(None)
-    else:
+    The estimate ``est = absv * (num_bins / top)`` lies within about ``2 *
+    2**-53 * num_bins`` of the exact quotient, as numpy's ``absv / top *
+    num_bins`` does (a subnormal ``num_bins / top``, for a top near the
+    largest float, keeps 50 bits), and in units of the step each linspace
+    edge ``fl(i * fl(top / num_bins))`` within as much of ``i``. So an
+    estimate farther than ``_EDGE_MARGIN * num_bins`` (a wide factor over
+    twice that) from every integer names the value's bin. Any other
+    (``top``'s among them) is at most one bin off: capped at the last bin,
+    it moves one down if the value lies below the bin's lower edge and one
+    up if it reaches the upper edge (+inf for the last bin), numpy's steps;
+    the edges rise strictly, so no value moves both ways. A subnormal step
+    has no relative bound: every value takes numpy's estimate and steps."""
+    if edges is None:
+        est = absv * (num_bins / top)
         off = np.rint(est)
         off -= est
-        np.abs(off, out=off)
-        near = np.flatnonzero(off < _EDGE_MARGIN * num_bins)
+        near = np.flatnonzero(np.abs(off, out=off) < _EDGE_MARGIN * num_bins)
         del off
+    else:
+        est, near = absv / top * num_bins, slice(None)
     idx = est.astype(np.intp)
     del est
-    v = absv[near]
-    i = np.minimum(idx[near], num_bins - 1)
-    idx[near] = i + (v >= edges[1:][i]) - (v < edges[i])
+    v, i = absv[near], np.minimum(idx[near], num_bins - 1)
+    if edges is None:  # linspace's edges of the flagged bins
+        step = top / num_bins
+        lo = i * step
+        hi = np.multiply(i + 1, step, out=np.full(i.shape, np.inf), where=i < num_bins - 1)
+    else:
+        lo, hi = edges[i], edges[1:][i]
+    idx[near] = i + (v >= hi) - (v < lo)
     return np.bincount(idx, minlength=num_bins)
 
 

@@ -43,3 +43,13 @@ def test_trees_with_different_outputs_are_refused(tmp_path):
     proc = run(SRC, str(changed))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "output digests differ" in proc.stderr
+
+
+def test_all_workloads_print_one_line_each():
+    proc = subprocess.run([sys.executable, TOOL, "--parent", SRC, "--change", SRC,
+                           "--workload", "all", "--seconds", "0", "--smoke"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [out["workload"] for out in lines] == ["eval", "search", "finetune", "calibrate"]
+    assert all(out["rounds"] >= 1 for out in lines)

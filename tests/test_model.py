@@ -192,6 +192,24 @@ class TestExactIntMatmul:
 
 
 @st.composite
+def seeded_normal_rows(draw, decades):
+    """Seeded normal values in rows of 1 to 300 entries (numpy's pairwise
+    sum adds one by one below 8, in 8 partial sums to 128 and halves past
+    that) under up to two leading dims, each entry's magnitude spread over
+    four decades whose top is drawn from ``decades``, and some entries
+    signed zeros. No two entries repeat, so the rounding of a sum shows any
+    change of its order, where ``arrays(..., elements=st.floats())`` fills
+    most entries with one repeated value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(array_shapes(min_dims=0, max_dims=2, max_side=4)) + (draw(
+        st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 300)),)
+    x = rng.normal(size=shape) * 10.0 ** (draw(decades) - rng.uniform(0.0, 4.0, shape))
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    x[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
+    return x
+
+
+@st.composite
 def sum_columns(draw):
     """Columns of 1 to 300 entries (numpy's pairwise sum adds one by one below
     8, in 8 partial sums to 128 and halves past that), with signed zeros,
@@ -351,7 +369,8 @@ class TestBlocks:
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, st.tuples(array_shapes(min_dims=0, max_dims=3, max_side=5),
                                         st.integers(1, 20) | st.integers(121, 300))
-                  .map(lambda s: s[0] + (s[1],)), elements=st.floats()))
+                  .map(lambda s: s[0] + (s[1],)), elements=st.floats())
+           | seeded_normal_rows(st.integers(-2, 3)))
     @example(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5.7e102, 1e154, 1.5e154,
                        -1e308, np.finfo(np.float64).max, 5e-324, -5e-324]))
     @example(np.random.default_rng(2).normal(0, 4, (3, 2, 4, 16)))
@@ -360,8 +379,9 @@ class TestBlocks:
         """Steps done in place on the functions' own new arrays, softmax's on
         its rows as columns, give the bits of the out-of-place expressions,
         non-finite values included: rows of 1 to 300 entries, numpy's
-        pairwise sums halving past 128, in 1-D to 4-D inputs; the result is
-        C-ordered and x is left as it was."""
+        pairwise sums halving past 128, in 1-D to 4-D inputs, any floats or
+        seeded normal ones; the result is C-ordered and x is left as it
+        was."""
         before = x.tobytes()
         with np.errstate(all="ignore"):
             pairs = [(softmax(x), softmax_out_of_place(x)), (gelu(x), gelu_out_of_place(x)),
@@ -392,11 +412,12 @@ class TestBlocks:
 
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=40),
-                    elements=st.floats(-1e6, 1e6)),
+                    elements=st.floats(-1e6, 1e6)) | seeded_normal_rows(st.integers(-3, 6)),
            scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e3, 1e150]), data=st.data())
     def test_layer_norm_bit_identical_to_np_var(self, x, scale, data):
         """Centring once gives np.var's exact steps, so every output is
-        bit-identical to the np.var form."""
+        bit-identical to the np.var form, for bounded floats and for seeded
+        normal rows of up to 300 entries."""
         x = x * scale
         d = x.shape[-1]
         g, b = (data.draw(arrays(np.float64, d, elements=st.floats(-4, 4))) for _ in "gb")

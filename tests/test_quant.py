@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,14 +115,46 @@ class TestCalibrator:
         assert cal.counts.tolist() == want.counts.tolist() and cal.total == want.total
 
     def test_edges_are_built_only_when_the_maximum_rises(self, monkeypatch):
+        """A subnormal step (top / 2048 < TINY) takes numpy's steps against
+        an edge array, built and checked each time the maximum rises, before
+        the maximum, the counts or the total change."""
         built = []
-        monkeypatch.setattr(quant, "_bin_edges",
-                            lambda top, n: built.append(top) or _bin_edges(top, n))
+        monkeypatch.setattr(
+            quant, "_bin_edges",
+            lambda top, n: built.append((top, cal.observed_max, cal.total)) or _bin_edges(top, n))
         cal = HistogramCalibrator()
-        for top in (0.0, 1.0, 0.5, 1.0, 3.0, 2.0, 3.0):
+        for top in (0.0, 1e-312, 5e-313, 1e-312, 3e-312, 2e-312, 3e-312):
             cal.observe(np.array([top, top / 3]))
-        assert built == [1.0, 3.0]
-        assert cal._edges.tolist() == _bin_edges(3.0, cal.num_bins).tolist()
+        assert built == [(1e-312, 0.0, 2), (3e-312, 1e-312, 8)]
+        assert cal._edges.tolist() == _bin_edges(3e-312, cal.num_bins).tolist()
+
+    def test_a_normal_step_builds_no_edges(self, monkeypatch):
+        """Tops up to the largest float, down to a step of exactly TINY."""
+        spied = []
+        monkeypatch.setattr(quant, "_bin_edges", lambda *a: spied.append(a))
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: spied.append(a))
+        cal = HistogramCalibrator()
+        for top in (2048 * TINY, 1.0, 0.5, 3.0, 1e300, FLOAT_MAX):
+            cal.observe(np.array([top, top / 3, 0.0]))
+            assert cal._edges is None
+        assert spied == []
+        assert cal.counts.sum() == 18
+
+    @pytest.mark.parametrize("num_bins", [2048.0, True, False, 1.5, "16", 0, -3])
+    def test_rejects_a_non_integer_bin_count(self, num_bins):
+        with pytest.raises(ValueError, match=re.escape(
+                f"num_bins must be an integer >= 1, got {num_bins!r}")):
+            HistogramCalibrator(num_bins)
+
+    def test_calibrate_rejects_a_float_bin_count(self, toy_data):
+        model = ax.init_model(ax.ModelConfig(num_layers=1, embed_dim=8, num_heads=2, ffn_dim=16))
+        with pytest.raises(ValueError, match=re.escape("got 2048.0")):
+            ax.calibrate(model, toy_data[0][:4], num_bins=2048.0)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_accepts_numpy_integer_bin_counts(self, kind):
+        cal = HistogramCalibrator(kind(7)).observe(np.array([0.0, 0.5, 1.0]))
+        assert cal.counts.tolist() == [1, 0, 0, 1, 0, 0, 1] and type(cal.num_bins) is int
 
     def test_empty_calibrator_raises(self):
         with pytest.raises(RuntimeError):
@@ -167,44 +200,56 @@ class TestCalibrator:
 
 SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 TINY = float(np.finfo(float).tiny)  # the least normal float
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def edge_heavy_values(rng, size, top, num_bins):
     """``size`` values in [0, top], most of them on np.histogram's linspace
-    edges, one ulp or 2-4 ulps either side, the rest 0.0, ``top`` or
-    uniform."""
+    edges, one ulp or 2-4 ulps either side, or on ``i * step`` or one ulp
+    either side for i at the first, a middle and the last bin's edges; the
+    rest 0.0, ``top`` or uniform."""
     # near the largest float, linspace's last product overflows before
     # linspace sets the end point to top, and the ulp above top is inf
     with np.errstate(over="ignore"):
         edges = np.linspace(0.0, top, num_bins + 1)
         on = edges[rng.integers(0, num_bins + 1, size)]
         above = np.nextafter(on, np.inf)
+        at = np.array([0, 1, num_bins // 2, num_bins // 2 + 1, num_bins - 1, num_bins])
+        on_step = at[rng.integers(0, at.size, size)] * (top / num_bins)
+        step_above = np.nextafter(on_step, np.inf)
     # a non-negative float's bits count its ulps from 0.0
     bits, ulps = on.view(np.int64), rng.integers(2, 5, size)
     far_below = np.maximum(bits - ulps, 0).view(np.float64)
     far_above = np.minimum(bits + ulps, np.float64(top).view(np.int64)).view(np.float64)
-    kind = rng.integers(0, 8, size)
-    v = np.select([kind == 1, kind == 2, kind == 3, kind == 4, kind == 5, kind == 6, kind == 7],
+    kind = rng.integers(0, 11, size)
+    v = np.select([kind == k for k in range(1, 11)],
                   [np.nextafter(on, 0.0), above, 0.0, top, rng.random(size) * top,
-                   far_below, far_above], on)
+                   far_below, far_above, on_step, np.nextafter(on_step, 0.0), step_above],
+                  on)
     return np.clip(v, 0.0, top)
 
 
 @st.composite
 def bins_and_top(draw):
     """A bin count, 1-4096 or up to about 10**5 and mostly not a power of
-    two, and a top: subnormal, huge, or a few ulps either side of (or a
-    small factor off) ``num_bins * TINY``, where linspace's step turns
-    subnormal."""
+    two, and a top: subnormal, huge, a few ulps either side of (or a small
+    factor off) ``num_bins * TINY``, where linspace's step turns subnormal,
+    or ``num_bins`` times a step one ulp either side of TINY; or 1-7 bins
+    and a top within 2**3 of the largest float, where ``num_bins / top``
+    turns subnormal."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.integers(1, 7)), draw(st.floats(FLOAT_MAX / 8, FLOAT_MAX))
     num_bins = draw(st.sampled_from([1, 2, 2048, 4096, 3001, 99_991])
                     | st.integers(1, 4096) | st.integers(4097, 100_000))
     at_tiny = num_bins * TINY  # exact: a power of two times an integer < 2**53
-    top = draw(st.sampled_from([1.0, 3.7, 4096 * SMALLEST_SUBNORMAL, np.finfo(float).max])
+    top = draw(st.sampled_from([1.0, 3.7, 4096 * SMALLEST_SUBNORMAL, FLOAT_MAX])
                | st.floats(SMALLEST_SUBNORMAL, 2.2e-308)  # subnormal
-               | st.floats(1e-300, 1e300) | st.floats(1e300, np.finfo(float).max)
+               | st.floats(1e-300, 1e300) | st.floats(1e300, FLOAT_MAX)
                | st.integers(-4, 4).map(
                    lambda k: float((np.float64(at_tiny).view(np.int64) + k).view(np.float64)))
-               | st.floats(0.5, 2.0).map(lambda f: at_tiny * f))
+               | st.floats(0.5, 2.0).map(lambda f: at_tiny * f)
+               | st.sampled_from([0.0, np.inf]).map(
+                   lambda to: num_bins * float(np.nextafter(TINY, to))))
     return num_bins, top
 
 
@@ -217,32 +262,39 @@ class TestBinCounts:
            seed=st.integers(0, 2**32 - 1))
     @example(bins_top=(2, SMALLEST_SUBNORMAL), size=10, seed=0)  # linspace's step == 0
     @example(bins_top=(4096, 4096 * SMALLEST_SUBNORMAL), size=70000, seed=1)
-    @example(bins_top=(1, np.finfo(float).max), size=65537, seed=2)
+    @example(bins_top=(1, FLOAT_MAX), size=65537, seed=2)
     @example(bins_top=(5, 2.0237e-320), size=1000, seed=3)  # a subnormal step
     @example(bins_top=(99_991, 1.0), size=70000, seed=4)
     @example(bins_top=(3001, float(np.nextafter(3001 * TINY, 0.0))), size=1000, seed=5)
     @example(bins_top=(3001, 3001 * TINY), size=1000, seed=6)
+    @example(bins_top=(3, FLOAT_MAX), size=1000, seed=7)  # num_bins / top is subnormal
+    @example(bins_top=(7, FLOAT_MAX / 7.5), size=1000, seed=8)
+    @example(bins_top=(1, FLOAT_MAX / 3), size=1000, seed=9)
+    @example(bins_top=(2048, 2048 * float(np.nextafter(TINY, 0.0))), size=1000, seed=10)
+    @example(bins_top=(2048, 2048 * float(np.nextafter(TINY, 1.0))), size=1000, seed=11)
     def test_equals_np_histogram(self, bins_top, size, seed):
         """Edge-heavy values, subnormal and huge tops and tops where the
         step turns subnormal, 1 to about 10**5 bins, and sizes across
         np.histogram's 65,536-value block. Where the linspace edges do not
         rise strictly (a subnormal top with more bins than it has ulps),
-        np.histogram raises, and so does _bin_edges."""
+        np.histogram raises, and so does _bin_edges; that happens only
+        where the step is subnormal, the one case that builds edges."""
         num_bins, top = bins_top
         v = edge_heavy_values(np.random.default_rng(seed), size, top, num_bins)
         with np.errstate(over="ignore"):  # linspace near the largest float
             try:
                 want = np.histogram(v, num_bins, (0.0, top))[0]
             except ValueError as exc:
-                assert "Too many bins" in str(exc)
+                assert "Too many bins" in str(exc) and top / num_bins < TINY
                 with pytest.raises(ValueError, match="Too many bins"):
                     _bin_edges(top, num_bins)
                 return
-            got = _bin_counts(v, top, _bin_edges(top, num_bins))
+            edges = _bin_edges(top, num_bins) if top / num_bins < TINY else None
+            got = _bin_counts(v, top, num_bins, edges)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_top_lands_in_the_last_bin(self):
-        got = _bin_counts(np.array([0.0, 0.5, 1.0, 1.0]), 1.0, _bin_edges(1.0, 4))
+        got = _bin_counts(np.array([0.0, 0.5, 1.0, 1.0]), 1.0, 4)
         assert got.tolist() == [1, 0, 1, 2]
 
 

@@ -9,9 +9,14 @@ each round, until ``--seconds`` have passed, and prints one JSON line: the
 median sweep seconds of both trees, their ratio (change over parent) and
 the number of rounds whose change sweep was the faster. Separate processes
 running the same code differ by a few percent, so a gain of that size shows
-here and can hide in a few harness runs. Run it from the repository root:
+here and can hide in a few harness runs. ``--workload all`` runs the four
+workloads in turn, ``--seconds`` each, and prints a line for each: one
+command checks a claimed gain and the workloads that should not move. It
+stops at the first workload whose digests differ. Run it from the
+repository root:
 
     python3 tools/ab_sweeps.py --parent ../parent/src --change src --workload eval
+    python3 tools/ab_sweeps.py --parent ../parent/src --change src --workload all
 
 It changes no file under ``perfbench/``; the external table of a set-up is
 written to a temporary directory.
@@ -34,6 +39,7 @@ import time  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS_PY = os.path.join(REPO_ROOT, "perfbench", "workloads.py")
+WORKLOADS = ("eval", "search", "finetune", "calibrate")
 
 
 def _axvit_modules() -> dict:
@@ -110,25 +116,16 @@ def output_digest(tree: Tree, prepared, outputs) -> str:
         return tree.workloads.digest(digest_input)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="source directory holding axvit/")
-    parser.add_argument("--change", required=True, help="source directory holding axvit/")
-    parser.add_argument("--workload", required=True,
-                        choices=("eval", "search", "finetune", "calibrate"))
-    parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--smoke", action="store_true", help="perfbench's tiny sizes")
-    args = parser.parse_args(argv)
-
+def compare(trees: list, name: str, args) -> int:
+    """Time one workload on both trees and print its JSON line; 1 where the
+    digests differ."""
     sizes = "SMOKE" if args.smoke else "FULL"
-    trees = [Tree(args.parent, "parent"), Tree(args.change, "change")]
     with tempfile.TemporaryDirectory() as tmp:
-        prepared = [prepare(t, args.workload, args.seed, sizes, tmp) for t in trees]
+        prepared = [prepare(t, name, args.seed, sizes, tmp) for t in trees]
     # the first sweep of each tree gives its digest and warms it up
     digests = [output_digest(t, p, sweep(t, p)[1]) for t, p in zip(trees, prepared)]
     if digests[0] != digests[1]:
-        print(f"ab_sweeps: {args.workload}: output digests differ: parent {digests[0]}, "
+        print(f"ab_sweeps: {name}: output digests differ: parent {digests[0]}, "
               f"change {digests[1]}", file=sys.stderr)
         return 1
     times = ([], [])
@@ -138,11 +135,29 @@ def main(argv=None) -> int:
         for i in order:
             times[i].append(sweep(trees[i], prepared[i])[0])
     parent, change = (statistics.median(t) for t in times)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "digest": digests[0],
+    print(json.dumps({"workload": name, "seed": args.seed, "digest": digests[0],
                       "rounds": len(times[0]), "parent_median_s": round(parent, 6),
                       "change_median_s": round(change, 6),
                       "ratio": round(change / parent, 4),
-                      "change_wins": sum(c < p for p, c in zip(*times))}))
+                      "change_wins": sum(c < p for p, c in zip(*times))}), flush=True)
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="source directory holding axvit/")
+    parser.add_argument("--change", required=True, help="source directory holding axvit/")
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",),
+                        help="one workload, or all four in turn")
+    parser.add_argument("--seconds", type=float, default=60.0, help="per workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--smoke", action="store_true", help="perfbench's tiny sizes")
+    args = parser.parse_args(argv)
+
+    trees = [Tree(args.parent, "parent"), Tree(args.change, "change")]
+    for name in WORKLOADS if args.workload == "all" else (args.workload,):
+        if compare(trees, name, args):
+            return 1
     return 0
 
 
